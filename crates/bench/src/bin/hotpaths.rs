@@ -22,7 +22,9 @@
 //! * the `count-alloc` feature is compiled in and any workload's
 //!   steady-state allocation count exceeds `BENCH_alloc_budget.json` —
 //!   the per-worker scratch arenas must keep the threaded steady state
-//!   allocation-free, not just the serial one.
+//!   allocation-free, not just the serial one, and so must a `gemm` pass
+//!   at the default thread count, outside any override
+//!   (`gemm_default_threads`).
 //!
 //! Usage: `hotpaths [--smoke] [--out PATH] [--metrics PATH]
 //! [--alloc-budget PATH]`
@@ -313,9 +315,7 @@ fn window_workload(scale: &Scale) -> (u64, u64) {
 /// the two variants must agree bit for bit.
 fn gemm_workload(scale: &Scale, blocked: bool) -> (u64, u64) {
     let d = scale.gemm_dim;
-    let mut rng = Rng64::seed_from_u64(44);
-    let a: Vec<f32> = (0..d * d).map(|_| rng.next_f32() - 0.5).collect();
-    let b: Vec<f32> = (0..d * d).map(|_| rng.next_f32() - 0.5).collect();
+    let (a, b) = gemm_operands(d);
     let mut c = vec![0.0f32; d * d];
     let mut scratch = Scratch::new();
     let run = |c: &mut [f32], scratch: &mut Scratch| {
@@ -337,6 +337,31 @@ fn gemm_workload(scale: &Scale, blocked: bool) -> (u64, u64) {
     );
     let items = (scale.gemm_iters + 1) as u64 * (d * d * d) as u64;
     (checksum_f32s(&c), items)
+}
+
+/// The `gemm` workload's seeded `d×d` operands.
+fn gemm_operands(d: usize) -> (Vec<f32>, Vec<f32>) {
+    let mut rng = Rng64::seed_from_u64(44);
+    let a: Vec<f32> = (0..d * d).map(|_| rng.next_f32() - 0.5).collect();
+    let b: Vec<f32> = (0..d * d).map(|_| rng.next_f32() - 0.5).collect();
+    (a, b)
+}
+
+/// One steady-state blocked GEMM pass outside any [`par::with_threads`]
+/// override, recorded as `gemm_default_threads`: every dispatch then
+/// resolves the default thread count (`EVLAB_THREADS`, else the
+/// hardware's), and the kernels' zero-allocation contract must hold there
+/// too, not only under an override.
+fn gemm_default_threads_pass(scale: &Scale) {
+    let d = scale.gemm_dim;
+    let (a, b) = gemm_operands(d);
+    let mut c = vec![0.0f32; d * d];
+    let mut scratch = Scratch::new();
+    // Warm pass: sizes the arenas and spawns any pool workers needed.
+    gemm_into(d, d, d, &a, &b, &mut c, &mut scratch);
+    let snap = alloc::snapshot();
+    gemm_into(d, d, d, &a, &b, &mut c, &mut scratch);
+    alloc::record_steady("gemm_default_threads", alloc::delta_since(snap));
 }
 
 /// The table1 dense-CNN conv layers: conv1 (2→8 over 32×32, sparse event
@@ -698,6 +723,7 @@ fn main() -> Result<(), evlab_util::EvlabError> {
          conv2d forward {conv_speedup:.2}x"
     );
 
+    gemm_default_threads_pass(&scale);
     let alloc_records = alloc::steady_records();
     if obs::enabled() && alloc::counting_enabled() {
         for (name, d) in &alloc_records {

@@ -20,9 +20,8 @@
 //!
 //! Sessions are built uniformly through [`SessionBuilder`]: pick a
 //! paradigm, share one [`OnlineConfig`], get a boxed
-//! [`OnlineClassifier`]. The per-paradigm constructors remain available as
-//! `with_config`; the old positional `new` constructors are deprecated
-//! shims over them.
+//! [`OnlineClassifier`]; the per-paradigm constructors underneath it are
+//! `with_config`.
 //!
 //! Any existing batch [`EventClassifier`] is servable through the
 //! [`Batched`] adapter, which buffers the session's events and classifies
@@ -426,15 +425,6 @@ impl SnnOnline {
         })
     }
 
-    /// Positional constructor, superseded by the unified config path.
-    ///
-    /// # Errors
-    ///
-    /// As [`SnnOnline::with_config`].
-    #[deprecated(note = "use SnnOnline::with_config or SessionBuilder")]
-    pub fn new(pipeline: &SnnPipeline, resolution: (u16, u16)) -> Result<Self, EvlabError> {
-        Self::with_config(pipeline, &OnlineConfig::new(resolution))
-    }
 }
 
 impl OnlineClassifier for SnnOnline {
@@ -638,22 +628,6 @@ impl CnnOnline {
         })
     }
 
-    /// Positional constructor, superseded by the unified config path.
-    ///
-    /// # Errors
-    ///
-    /// As [`CnnOnline::with_config`].
-    #[deprecated(note = "use CnnOnline::with_config or SessionBuilder")]
-    pub fn new(
-        pipeline: &CnnPipeline,
-        resolution: (u16, u16),
-        window_us: u64,
-    ) -> Result<Self, EvlabError> {
-        Self::with_config(
-            pipeline,
-            &OnlineConfig::new(resolution).with_window_us(window_us),
-        )
-    }
 
     /// Encodes the buffered window and runs the network.
     fn flush_window(&mut self, ops: &mut OpCount) -> Decision {
@@ -830,18 +804,6 @@ impl GnnOnline {
         })
     }
 
-    /// Positional constructor, superseded by the unified config path.
-    /// Served with the pipeline's `max_nodes` as the count bound and no
-    /// age bound.
-    ///
-    /// # Errors
-    ///
-    /// As [`GnnOnline::with_config`].
-    #[deprecated(note = "use GnnOnline::with_config or SessionBuilder")]
-    pub fn new(pipeline: &GnnPipeline) -> Result<Self, EvlabError> {
-        // Resolution is unused by the graph paradigm; any value works.
-        Self::with_config(pipeline, &OnlineConfig::new((0, 0)))
-    }
 
     /// Number of live nodes currently in the sliding window.
     pub fn node_count(&self) -> usize {
@@ -1354,21 +1316,5 @@ mod tests {
         assert!(SessionBuilder::new(config).gnn(&gnn).build().is_err());
         let err = SessionBuilder::new(config).build().map(|_| ()).unwrap_err();
         assert!(err.to_string().contains("no paradigm"), "{err}");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructors_delegate_to_config_path() {
-        let data = tiny_data();
-        let mut pipe = GnnPipeline::new(GnnPipelineConfig::new().with_epochs(2).with_seed(1));
-        pipe.fit(&data);
-        let via_new = GnnOnline::new(&pipe).expect("trained");
-        let via_config =
-            GnnOnline::with_config(&pipe, &OnlineConfig::new((0, 0))).expect("trained");
-        assert_eq!(via_new.policy(), via_config.policy());
-        let snn = SnnPipeline::new(SnnPipelineConfig::new());
-        assert!(SnnOnline::new(&snn, (16, 16)).is_err());
-        let cnn = CnnPipeline::new(CnnPipelineConfig::new());
-        assert!(CnnOnline::new(&cnn, (16, 16), 1_000).is_err());
     }
 }

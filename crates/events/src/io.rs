@@ -332,7 +332,6 @@ mod tests {
             evlab_util::obs::counter_value("ingest.truncated"),
             before + 1
         );
-        evlab_util::obs::set_enabled(false);
     }
 
     #[test]

@@ -27,23 +27,19 @@ fn dist_sq(a: &[f64; 3], b: &[f64; 3]) -> f64 {
 impl KdTree3 {
     /// Builds a tree from points. O(N log² N).
     ///
-    /// Construction recurses subtree-per-task: after each median split the
-    /// two halves are disjoint subslices, so they build concurrently on the
-    /// [`evlab_util::par`] pool down to a depth budget of
-    /// [`evlab_util::par::join_levels`]. The median selection is
-    /// deterministic for a given subslice, so the resulting tree is
-    /// identical for every thread count.
+    /// The top levels are split serially until there is one subtree per
+    /// [`par::threads`] worker (subtrees of at most `MIN_PAR_SUBTREE`
+    /// points are not split further); those subtrees then build in one
+    /// [`par::for_each_task`] region. Each median depends only on its own
+    /// subslice, so the tree is identical for every thread count.
     pub fn build(points: Vec<[f64; 3]>) -> Self {
         let mut order: Vec<u32> = (0..points.len() as u32).collect();
-        let mut tree = KdTree3 {
-            points,
-            order: vec![0; 0],
-        };
-        if !order.is_empty() {
-            build_recursive(&tree.points, &mut order, 0, par::join_levels());
-        }
-        tree.order = order;
-        tree
+        let mut subtrees = Vec::new();
+        split_top(&points, &mut order, 0, par::threads(), &mut subtrees);
+        par::for_each_task(&mut subtrees, |_, (sub, axis)| {
+            build_recursive(&points, sub, *axis);
+        });
+        KdTree3 { points, order }
     }
 
     /// Number of points.
@@ -182,34 +178,51 @@ impl KdTree3 {
     }
 }
 
-/// Minimum subtree size before a build level spawns its sibling on a
-/// worker thread; smaller subtrees finish faster than a spawn costs.
+/// Subtrees of at most this many points are not split off for a worker:
+/// they finish faster than a dispatch costs.
 const MIN_PAR_SUBTREE: usize = 1024;
 
-fn build_recursive(points: &[[f64; 3]], order: &mut [u32], axis: usize, par_levels: u32) {
-    if order.len() <= 1 {
-        return;
-    }
-    // Same median as the query side's implicit `(lo + hi) / 2`:
-    // `floor((lo + hi) / 2) - lo == floor((hi - lo) / 2)` for all lo <= hi.
+/// Partitions `order` around its median on `axis` and returns the halves
+/// on either side of it. This is the same median as the query side's
+/// implicit `(lo + hi) / 2`: `floor((lo + hi) / 2) - lo ==
+/// floor((hi - lo) / 2)` for all lo <= hi.
+fn split<'a>(points: &[[f64; 3]], order: &'a mut [u32], axis: usize) -> [&'a mut [u32]; 2] {
     let mid = order.len() / 2;
     order.select_nth_unstable_by(mid, |&a, &b| {
         points[a as usize][axis]
             .partial_cmp(&points[b as usize][axis])
             .unwrap_or(std::cmp::Ordering::Equal) // coordinates are finite
     });
-    let next = (axis + 1) % 3;
     let (left, rest) = order.split_at_mut(mid);
-    let right = &mut rest[1..];
-    if par_levels > 0 && left.len().min(right.len()) > MIN_PAR_SUBTREE {
-        par::join(
-            || build_recursive(points, left, next, par_levels - 1),
-            || build_recursive(points, right, next, par_levels - 1),
-        );
-    } else {
-        build_recursive(points, left, next, 0);
-        build_recursive(points, right, next, 0);
+    [left, &mut rest[1..]]
+}
+
+fn build_recursive(points: &[[f64; 3]], order: &mut [u32], axis: usize) {
+    if order.len() <= 1 {
+        return;
     }
+    let [left, right] = split(points, order, axis);
+    build_recursive(points, left, (axis + 1) % 3);
+    build_recursive(points, right, (axis + 1) % 3);
+}
+
+/// Splits the top levels serially until each subtree is meant for one of
+/// `parts` workers or has at most `MIN_PAR_SUBTREE` points, and collects
+/// the subtrees still to build, each with the axis it splits on.
+fn split_top<'a>(
+    points: &[[f64; 3]],
+    order: &'a mut [u32],
+    axis: usize,
+    parts: usize,
+    out: &mut Vec<(&'a mut [u32], usize)>,
+) {
+    if parts <= 1 || order.len() <= MIN_PAR_SUBTREE {
+        out.push((order, axis));
+        return;
+    }
+    let [left, right] = split(points, order, axis);
+    split_top(points, left, (axis + 1) % 3, parts.div_ceil(2), out);
+    split_top(points, right, (axis + 1) % 3, parts.div_ceil(2), out);
 }
 
 #[cfg(test)]
@@ -302,6 +315,18 @@ mod tests {
         assert_eq!(tree.knn(&[0.0; 3], 3).0, Vec::new());
         let one = KdTree3::build(vec![[1.0, 2.0, 3.0]]);
         assert_eq!(one.knn(&[1.0, 2.0, 3.0], 1).0, vec![(0, 0.0)]);
+    }
+
+    #[test]
+    fn build_is_thread_invariant() {
+        // Enough points that the top levels split for every thread count;
+        // 3 threads split into 4 subtrees, more than there are workers.
+        let points = random_points(10_000, 6);
+        let serial = par::with_threads(1, || KdTree3::build(points.clone()));
+        for t in [2, 3, 4, 8] {
+            let tree = par::with_threads(t, || KdTree3::build(points.clone()));
+            assert_eq!(tree, serial, "threads = {t}");
+        }
     }
 
     #[test]

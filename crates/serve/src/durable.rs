@@ -739,7 +739,6 @@ mod tests {
         assert_eq!(report.words_recovered(), 22, "clean prefix only");
         assert_sessions_match(rt.session(id).unwrap(), rt_o.session(id_o).unwrap(), "torn-tail");
         assert!(evlab_util::obs::counter_value("wal.torn_tails") > torn_before);
-        evlab_util::obs::set_enabled(false);
         let _ = fs::remove_dir_all(&crash_root);
         let _ = fs::remove_dir_all(&oracle_root);
     }
@@ -776,7 +775,6 @@ mod tests {
         assert_eq!(report.words_replayed, 15, "both retained WAL epochs replayed");
         assert_sessions_match(rt.session(id).unwrap(), rt_o.session(id_o).unwrap(), "fallback");
         assert!(evlab_util::obs::counter_value("ckpt.load_corrupt") > corrupt_before);
-        evlab_util::obs::set_enabled(false);
         let _ = fs::remove_dir_all(&crash_root);
         let _ = fs::remove_dir_all(&oracle_root);
     }

@@ -438,7 +438,6 @@ mod tests {
             assert!(w[0].0 <= w[1].0, "decisions out of order");
         }
         assert!(obs::counter_value("serve.shed.oldest") >= shed_before + 96);
-        obs::set_enabled(false);
     }
 
     #[test]
@@ -576,7 +575,6 @@ mod tests {
         assert_eq!(s.stats().quarantined, 1);
         assert_eq!(s.stats().processed, 1);
         assert_eq!(obs::counter_value("ingest.quarantined"), before + 1);
-        obs::set_enabled(false);
     }
 
     #[test]

@@ -431,28 +431,13 @@ impl Invariant for Session {
     }
 
     fn check_invariants(&self, r: &mut Report) {
-        let s = &self.stats;
-        // Every offered event is accounted for exactly once at ingress.
-        r.require(s.offered == s.accepted + s.shed_newest + s.shed_rate, || {
-            format!(
-                "{} offered != {} accepted + {} shed_newest + {} shed_rate",
-                s.offered, s.accepted, s.shed_newest, s.shed_rate
-            )
-        });
-        // Accepted events are still queued, processed, or shed-oldest;
-        // the remainder is bounded by classifier failures (an event can
-        // be lost mid-push when the classifier errors).
-        r.require(
-            s.accepted >= s.shed_oldest + s.processed + self.queue.len() as u64,
-            || {
-                format!(
-                    "{} accepted < {} shed_oldest + {} processed + {} queued",
-                    s.accepted,
-                    s.shed_oldest,
-                    s.processed,
-                    self.queue.len()
-                )
-            },
+        check_counters(
+            r,
+            &self.stats,
+            self.history.len(),
+            self.restarts,
+            self.reorder.as_ref(),
+            self.queue.len(),
         );
         r.require(self.queue.len() <= self.queue.capacity(), || {
             format!(
@@ -461,38 +446,107 @@ impl Invariant for Session {
                 self.queue.capacity()
             )
         });
-        r.require(s.decisions == self.history.len() as u64, || {
-            format!(
-                "{} decisions but {} history entries",
-                s.decisions,
-                self.history.len()
-            )
-        });
-        r.require(self.latencies_us.len() as u64 <= s.decisions, || {
-            format!(
-                "{} latency samples exceed {} decisions",
-                self.latencies_us.len(),
-                s.decisions
-            )
-        });
+        r.require(
+            self.latencies_us.len() as u64 <= self.stats.decisions,
+            || {
+                format!(
+                    "{} latency samples exceed {} decisions",
+                    self.latencies_us.len(),
+                    self.stats.decisions
+                )
+            },
+        );
         r.require(self.cooldown.is_none() || self.error.is_some(), || {
             "cooldown counting down without a live error".to_string()
         });
-        r.require(u64::from(self.restarts) == s.restarts, || {
+    }
+}
+
+/// The invariants over the state a snapshot restores, shared by a live
+/// session and a decoded [`Restored`] candidate. `queued` counts the
+/// events in the live queue, which a snapshot does not hold.
+fn check_counters(
+    r: &mut Report,
+    s: &SessionStats,
+    history_len: usize,
+    restarts: u32,
+    reorder: Option<&ReorderBuffer>,
+    queued: usize,
+) {
+    // Every offered event is accounted for exactly once at ingress.
+    r.require(
+        s.offered == s.accepted + s.shed_newest + s.shed_rate,
+        || {
             format!(
-                "session counted {} restarts, stats say {}",
-                self.restarts, s.restarts
+                "{} offered != {} accepted + {} shed_newest + {} shed_rate",
+                s.offered, s.accepted, s.shed_newest, s.shed_rate
+            )
+        },
+    );
+    // Accepted events are still queued, processed, or shed-oldest; the
+    // remainder is bounded by classifier failures (an event can be lost
+    // mid-push when the classifier errors).
+    r.require(
+        s.accepted >= s.shed_oldest + s.processed + queued as u64,
+        || {
+            format!(
+                "{} accepted < {} shed_oldest + {} processed + {queued} queued",
+                s.accepted, s.shed_oldest, s.processed
+            )
+        },
+    );
+    r.require(s.decisions == history_len as u64, || {
+        format!(
+            "{} decisions but {history_len} history entries",
+            s.decisions
+        )
+    });
+    r.require(u64::from(restarts) == s.restarts, || {
+        format!(
+            "session counted {restarts} restarts, stats say {}",
+            s.restarts
+        )
+    });
+    if let Some(buf) = reorder {
+        r.require(s.late_dropped >= buf.late_dropped(), || {
+            format!(
+                "stats late_dropped {} behind the buffer's {}",
+                s.late_dropped,
+                buf.late_dropped()
             )
         });
-        if let Some(buf) = &self.reorder {
-            r.require(s.late_dropped >= buf.late_dropped(), || {
-                format!(
-                    "stats late_dropped {} behind the buffer's {}",
-                    s.late_dropped,
-                    buf.late_dropped()
-                )
-            });
-        }
+    }
+}
+
+/// Everything a session snapshot restores besides the classifier state,
+/// decoded and checked in full before any of it replaces the live
+/// session's.
+struct Restored {
+    reorder: Option<ReorderBuffer>,
+    stats: SessionStats,
+    history: Vec<(u64, usize)>,
+    last_decision: Option<Decision>,
+    ops: OpCount,
+    restarts: u32,
+    open: bool,
+    /// Events in the live queue, which the restore keeps.
+    queued: usize,
+}
+
+impl Invariant for Restored {
+    fn invariant_name(&self) -> &'static str {
+        "serve-session"
+    }
+
+    fn check_invariants(&self, r: &mut Report) {
+        check_counters(
+            r,
+            &self.stats,
+            self.history.len(),
+            self.restarts,
+            self.reorder.as_ref(),
+            self.queued,
+        );
     }
 }
 
@@ -597,38 +651,91 @@ impl StateSnapshot for Session {
         enc.put_bool(self.open);
     }
 
+    /// A failed restore leaves the session untouched: everything after
+    /// the classifier state is decoded and checked before any of it is
+    /// committed, and the classifier state is put back if that fails.
     fn load_state(&mut self, dec: &mut Decoder) -> Result<(), FrameError> {
-        if dec.take_bool()? {
-            let Some(snap) = self.classifier.as_snapshot_mut() else {
-                return Err(dec.corrupt("snapshot has classifier state, session has none"));
-            };
-            let kind = dec.take_str()?.to_string();
-            if kind != snap.state_kind() {
-                return Err(FrameError::KindMismatch {
-                    expected: snap.state_kind().to_string(),
-                    found: kind,
-                });
+        let replaced = self.load_classifier(dec)?;
+        let restored = match self.decode_restored(dec) {
+            Ok(restored) => restored,
+            Err(e) => {
+                if let (Some(bytes), Some(snap)) = (replaced, self.classifier.as_snapshot_mut()) {
+                    // A classifier always loads back state it saved itself.
+                    let _ = snap.load_state(&mut Decoder::new(&bytes));
+                }
+                return Err(e);
             }
-            let version = dec.take_u16()?;
-            if version != snap.state_version() {
-                return Err(FrameError::StateVersionMismatch {
-                    expected: snap.state_version(),
-                    found: version,
-                });
+        };
+        self.reorder = restored.reorder;
+        self.stats = restored.stats;
+        self.history = restored.history;
+        self.last_decision = restored.last_decision;
+        self.ops = restored.ops;
+        self.restarts = restored.restarts;
+        self.open = restored.open;
+        // The cooldown counts down a live error's backoff, and the error
+        // is not durable, so neither is restored: a kept cooldown would
+        // leave a stale backoff that a future failure silently inherits.
+        self.cooldown = None;
+        self.error = None;
+        // Wall-clock measurement state restarts with the process.
+        self.latencies_us.clear();
+        self.oldest_pending = None;
+        Ok(())
+    }
+}
+
+impl Session {
+    /// Loads the classifier part of a session snapshot. The classifier's
+    /// own load is atomic; its payload comes first and carries no length,
+    /// so it is the only way past it. Returns the state it replaced, in
+    /// the classifier's own format, for `load_state` to put back if the
+    /// rest of the snapshot fails.
+    fn load_classifier(&mut self, dec: &mut Decoder) -> Result<Option<Vec<u8>>, FrameError> {
+        if !dec.take_bool()? {
+            if self.classifier.as_snapshot().is_some() {
+                return Err(dec.corrupt("snapshot has no classifier state, session expects it"));
             }
-            snap.load_state(dec)?;
-        } else if self.classifier.as_snapshot().is_some() {
-            return Err(dec.corrupt("snapshot has no classifier state, session expects it"));
+            return Ok(None);
         }
-        if dec.take_bool()? {
-            let Some(buf) = &mut self.reorder else {
-                return Err(dec.corrupt("snapshot has a reorder buffer, session has none"));
-            };
-            buf.load_state(dec)?;
-        } else if self.reorder.is_some() {
-            return Err(dec.corrupt("snapshot has no reorder buffer, session expects one"));
+        let Some(snap) = self.classifier.as_snapshot_mut() else {
+            return Err(dec.corrupt("snapshot has classifier state, session has none"));
+        };
+        let kind = dec.take_str()?.to_string();
+        if kind != snap.state_kind() {
+            return Err(FrameError::KindMismatch {
+                expected: snap.state_kind().to_string(),
+                found: kind,
+            });
         }
-        self.stats = load_stats(dec)?;
+        let version = dec.take_u16()?;
+        if version != snap.state_version() {
+            return Err(FrameError::StateVersionMismatch {
+                expected: snap.state_version(),
+                found: version,
+            });
+        }
+        let mut replaced = Encoder::new();
+        snap.save_state(&mut replaced);
+        snap.load_state(dec)?;
+        Ok(Some(replaced.into_bytes()))
+    }
+
+    /// Decodes everything after the classifier state and holds it to the
+    /// session invariants, without touching the live session.
+    fn decode_restored(&self, dec: &mut Decoder) -> Result<Restored, FrameError> {
+        let mut reorder = self.reorder.clone();
+        match (dec.take_bool()?, &mut reorder) {
+            (true, Some(buf)) => buf.load_state(dec)?,
+            (true, None) => {
+                return Err(dec.corrupt("snapshot has a reorder buffer, session has none"))
+            }
+            (false, Some(_)) => {
+                return Err(dec.corrupt("snapshot has no reorder buffer, session expects one"))
+            }
+            (false, None) => {}
+        }
+        let stats = load_stats(dec)?;
         let n = dec.take_u64()? as usize;
         if n > dec.remaining() / 16 {
             return Err(dec.corrupt(format!("{n} history entries exceed the payload")));
@@ -639,29 +746,29 @@ impl StateSnapshot for Session {
             let class = dec.take_u64()? as usize;
             history.push((t, class));
         }
-        self.history = history;
-        self.last_decision = load_opt_decision(dec)?;
-        self.ops = load_ops(dec)?;
+        let last_decision = load_opt_decision(dec)?;
+        let ops = load_ops(dec)?;
         let restarts = dec.take_u64()?;
-        self.restarts = u32::try_from(restarts)
+        let restarts = u32::try_from(restarts)
             .map_err(|_| dec.corrupt(format!("restart count {restarts} overflows u32")))?;
-        // Consume the recorded cooldown for format compatibility, but do
-        // not restore it: the cooldown counts down a *live* error's
-        // backoff, and the error itself is not durable (cleared below).
-        // Restoring it would leave a stale backoff that a future failure
-        // silently inherits.
+        // The recorded cooldown is consumed for format compatibility but
+        // not restored (see `load_state`).
         if let Some(c) = dec.take_opt_u64()? {
             u32::try_from(c).map_err(|_| dec.corrupt(format!("cooldown {c} overflows u32")))?;
         }
-        self.cooldown = None;
-        self.open = dec.take_bool()?;
-        // Wall-clock measurement state restarts with the process.
-        self.latencies_us.clear();
-        self.oldest_pending = None;
-        self.error = None;
-        if let Some(violation) = check::verify(self).into_iter().next() {
+        let restored = Restored {
+            reorder,
+            stats,
+            history,
+            last_decision,
+            ops,
+            restarts,
+            open: dec.take_bool()?,
+            queued: self.queue.len(),
+        };
+        if let Some(violation) = check::verify(&restored).into_iter().next() {
             return Err(dec.corrupt(format!("snapshot violates invariant: {violation}")));
         }
-        Ok(())
+        Ok(restored)
     }
 }

@@ -15,7 +15,7 @@ use evlab_tensor::OpCount;
 use evlab_util::{obs, par, Rng64};
 
 /// Minimum `out_size x (active inputs + 1)` work before [`LifLayer::step`]
-/// fans out across threads; below this the spawn overhead dominates.
+/// fans out across threads; below this the dispatch overhead dominates.
 const PAR_WORK_THRESHOLD: usize = 50_000;
 
 /// State and cache of one clocked step of a layer.
@@ -174,7 +174,7 @@ impl LifLayer {
         };
 
         // Output neurons are independent; fan out over the neuron
-        // dimension only when the synaptic work amortizes thread spawns.
+        // dimension only when the synaptic work amortizes the dispatch.
         let work = self.out_size * (active.len() + 1);
         let threads = par::threads();
         if threads <= 1 || work < PAR_WORK_THRESHOLD {

@@ -63,7 +63,6 @@ mod tests {
         let mut v = vec![f32::NAN, f32::NAN];
         sanitize_finite(&mut v);
         assert_eq!(obs::counter_value("tensor.guard.nonfinite"), before + 2);
-        obs::set_enabled(false);
     }
 
     #[test]

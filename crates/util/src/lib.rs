@@ -12,11 +12,9 @@
 //! * [`lut::ExpDecayLut`] — a lookup table for `exp(-dt/tau)` used by the
 //!   event-driven spiking-neuron simulation, mirroring how digital
 //!   neuromorphic hardware approximates exponential leak.
-//! * [`fixed::Q16`] — a Q16.16 fixed-point type used by the hardware cost
-//!   models to mimic integer-arithmetic datapaths.
-//! * [`par`] — the std-only parallel execution layer (scoped threads,
-//!   static chunking, ordered reduction) behind every hot path, controlled
-//!   by `EVLAB_THREADS`.
+//! * [`par`] — the std-only parallel execution layer (one persistent
+//!   worker pool, static chunking, ordered reduction) behind every hot
+//!   path, controlled by `EVLAB_THREADS`.
 //! * [`obs`] — the pipeline observability layer (named counters, span
 //!   timers, fixed-bucket histograms) behind the `EVLAB_OBS` toggle, a
 //!   no-op single branch on hot paths while off.
@@ -52,7 +50,6 @@
 pub mod check;
 pub mod error;
 pub mod fault;
-pub mod fixed;
 pub mod frame;
 pub mod json;
 pub mod lut;
@@ -62,6 +59,5 @@ pub mod rng;
 pub mod stats;
 
 pub use error::EvlabError;
-pub use fixed::Q16;
 pub use lut::ExpDecayLut;
 pub use rng::Rng64;

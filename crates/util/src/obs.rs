@@ -27,6 +27,15 @@
 //! several flavours (the frame encoders) interpolate their flavour into
 //! the name.
 //!
+//! # Testing
+//!
+//! The enabled flag and the registry are process-global, and the tests
+//! of one binary run concurrently. A test that counts therefore turns obs
+//! on, asserts deltas of its counters rather than absolute values, and
+//! never turns obs off: that would silence another test's counting
+//! midway. The toggle test in this module is the one exception: it holds
+//! a lock that every test here relying on the flag also takes.
+//!
 //! # Examples
 //!
 //! ```

@@ -1,57 +1,56 @@
-//! Zero-dependency parallel execution built on [`std::thread::scope`]
-//! plus a persistent fork-join pool for the kernel layer.
+//! Zero-dependency parallel execution on one persistent fork-join pool.
 //!
 //! Every hot path in the workspace (pixel-array simulation, frame
-//! encoding, LIF stepping, graph construction, the blocked GEMM/conv
-//! kernels) funnels through the primitives in this module. The design
-//! rule is **ordered reduction**: work is split into *statically chunked*
-//! units whose boundaries depend only on the input size (never on the
-//! thread count), each unit produces an independent partial result, and
-//! partial results are combined on the coordinating thread in chunk-index
-//! order. Because floating-point reduction order is fixed by the chunk
-//! structure, the output of every parallel path is bit-identical for any
-//! thread count — `EVLAB_THREADS=1` is the exact serial fallback, not an
-//! approximation of it.
+//! encoding, LIF stepping, graph construction, the serving runtime's
+//! ticks, the blocked GEMM/conv kernels) funnels through the primitives in
+//! this module. The design rule is **ordered reduction**: work is split
+//! into *statically chunked* units whose boundaries depend only on the
+//! input size (never on the thread count), each unit produces an
+//! independent partial result, and partial results are combined on the
+//! coordinating thread in chunk-index order. Because floating-point
+//! reduction order is fixed by the chunk structure, the output of every
+//! parallel path is bit-identical for any thread count —
+//! `EVLAB_THREADS=1` is the exact serial fallback, not an approximation
+//! of it.
 //!
 //! Thread-count control, in priority order:
 //!
 //! 1. [`with_threads`] — a thread-local override for the current scope,
-//!    used by tests and the `hotpaths` benchmark sweep. The override is
-//!    propagated into every worker this module dispatches to (scoped or
-//!    pooled), so parallel regions started *from worker threads* (nested
-//!    regions) see the same setting as the thread that started the outer
+//!    used by tests and the `hotpaths` benchmark sweep. A region carries
+//!    the override into the pool workers that run its chunks, so code in
+//!    a chunk sees the same [`threads`] as the thread that started the
 //!    region.
 //! 2. The `EVLAB_THREADS` environment variable.
 //! 3. [`std::thread::available_parallelism`].
 //!
-//! All three sources are clamped to `[1, MAX_THREADS]`; an absurd
+//! Sources 2 and 3 are read once per process, so [`threads`] never
+//! allocates. All three are clamped to `[1, MAX_THREADS]`: an absurd
 //! `EVLAB_THREADS=100000` asks for [`MAX_THREADS`] workers, it does not
-//! crash thread spawn mid-scope. If the OS refuses to spawn a worker
-//! anyway, the worker's share of the work runs inline on the coordinating
-//! thread (recorded in the `par.spawn_fallback` observability counter)
-//! instead of panicking — the result is identical either way because
-//! chunk structure never depends on the thread count.
+//! exhaust the process's threads.
 //!
-//! Two dispatch mechanisms coexist, chosen by granularity:
+//! # Dispatch
 //!
-//! * **Scoped regions** ([`map_chunks`], [`for_each_task`], [`join`])
-//!   spawn per region with [`std::thread::scope`], letting workers borrow
-//!   from the caller's stack without reference counting. A scoped spawn
-//!   costs ~10–20 µs and a handful of heap allocations, which disappears
-//!   into the millisecond-scale regions of the event-pipeline stages.
-//! * **The persistent pool** ([`for_each_chunk`]) keeps detached workers
-//!   alive across calls and hands them lifetime-erased chunk closures
-//!   through a single mutex-guarded job slot. Dispatch performs **zero
-//!   heap allocations**, which is what the compute kernels (blocked
-//!   GEMM, im2col conv2d, SpMV, batch training) require: they dispatch
-//!   at microsecond granularity inside steady-state loops whose
-//!   allocation count is gated at exactly zero by
-//!   `BENCH_alloc_budget.json`. Workers are spawned lazily on first use
-//!   (growth allocations land in warmup, outside any gated window) and
-//!   one region runs at a time; a thread already executing pool chunks
-//!   runs nested [`for_each_chunk`] calls inline, so kernels may nest
-//!   freely (batch training fans out over samples whose conv layers fan
-//!   out over GEMM panels) without deadlock.
+//! [`for_each_chunk`] is the only dispatcher; [`for_each_task`] (one
+//! chunk per task) and [`map_chunks`] (one task per result slot) are
+//! adapters over it. It runs on detached workers that live for the
+//! process and are spawned lazily, once each — the only allocation, which
+//! lands in warmup. With `T` participants, participant `p` (the calling
+//! thread is 0) runs chunks `p, p + T, p + 2T, …`; posting, running and
+//! draining a region touch no heap.
+//!
+//! * One region runs at a time; callers on other threads queue.
+//! * A region started on a thread that is already running chunks runs
+//!   inline there, in ascending chunk order: nested parallelism (batch
+//!   training over samples whose convs fan out over GEMM panels, serve
+//!   ticks whose sessions call the kernels) neither deadlocks nor starts
+//!   threads.
+//! * A panic in a chunk is re-raised on the caller with its original
+//!   payload (the caller's own first, else the first worker's) once every
+//!   participant has finished; the pool stays usable.
+//! * If the OS refuses a worker while the pool grows, the region runs
+//!   with fewer (inline if none), counted in `par.spawn_fallback`. Chunk
+//!   structure never depends on the participant count, so results do not
+//!   change.
 //!
 //! # Degenerate-input contract
 //!
@@ -76,31 +75,31 @@
 //! ```
 
 use crate::obs;
+use std::any::Any;
 use std::cell::Cell;
 use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread;
 
-/// Ceiling on the worker count from any source. Spawns cost real OS
+/// Ceiling on the worker count from any source. Workers are real OS
 /// threads; far past the core count they only add scheduling overhead,
-/// and unbounded requests (`EVLAB_THREADS=100000`) can exhaust process
-/// limits and fail thread spawn mid-scope.
+/// and unbounded requests (`EVLAB_THREADS=100000`) could exhaust process
+/// limits.
 pub const MAX_THREADS: usize = 256;
 
 thread_local! {
     static OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
-    /// True while this thread executes chunks of an active pool region —
-    /// as a pool worker or as the posting coordinator. Nested
-    /// [`for_each_chunk`] calls then run inline instead of waiting on the
+    /// True on pool workers, and on a coordinator while it runs its own
+    /// chunks. Regions started there run inline instead of waiting on the
     /// (already held) region lock.
     static IN_POOL_REGION: Cell<bool> = const { Cell::new(false) };
 }
 
 /// Locks a mutex, tolerating poisoning: every mutex in this module guards
 /// plain bookkeeping that stays structurally valid across a panic, and
-/// worker panics are propagated separately (through join results or the
-/// pool's `panicked` flag), never swallowed by the lock.
+/// chunk panics are propagated separately (through the pool's panic
+/// slot), never swallowed by the lock.
 fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -108,42 +107,27 @@ fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 /// The worker count used by parallel regions started from this thread:
 /// the [`with_threads`] override if active, else `EVLAB_THREADS`, else
 /// [`std::thread::available_parallelism`]. Clamped to `[1, MAX_THREADS]`.
+/// The environment and hardware default is resolved once per process, so
+/// this never allocates.
 pub fn threads() -> usize {
-    if let Some(n) = OVERRIDE.with(|o| o.get()) {
+    if let Some(n) = OVERRIDE.with(Cell::get) {
         return n.clamp(1, MAX_THREADS);
     }
-    if let Ok(v) = std::env::var("EVLAB_THREADS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            return n.clamp(1, MAX_THREADS);
-        }
-    }
-    thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-        .clamp(1, MAX_THREADS)
-}
-
-/// The raw [`with_threads`] override active on this thread, for
-/// propagation into workers.
-fn current_override() -> Option<usize> {
-    OVERRIDE.with(|o| o.get())
-}
-
-/// Runs `f` with this thread's override set to `ovr` — the worker-side
-/// half of override propagation. The previous value is restored so that
-/// pool workers (which are long-lived) and nested scoped regions compose.
-fn with_propagated<R>(ovr: Option<usize>, f: impl FnOnce() -> R) -> R {
-    match ovr {
-        Some(n) => with_threads(n, f),
-        None => f(),
-    }
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::env::var("EVLAB_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+            .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
+            .clamp(1, MAX_THREADS)
+    })
 }
 
 /// Runs `f` with the thread count forced to `n` (clamped to
 /// `[1, MAX_THREADS]` on read) for parallel regions started from the
-/// current thread — and, because every worker dispatch in this module
-/// carries the override along, for nested regions started from worker
-/// threads too. Restores the previous setting afterwards, panic or not.
+/// current thread — and, because a region carries the override into the
+/// workers that run its chunks, for code running in those chunks too.
+/// Restores the previous setting afterwards, panic or not.
 ///
 /// This is how the equivalence tests compare `threads = 1` against
 /// `threads = 4` within one process without racing on the environment.
@@ -204,77 +188,6 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
     (0..chunks).map(|c| chunk_range_at(len, chunks, c)).collect()
 }
 
-/// Evaluates `worker(c)` for every chunk index `c in 0..n_chunks` and
-/// returns the results in chunk order.
-///
-/// Chunks are statically assigned: thread `t` of `T` computes chunks
-/// `t, t + T, t + 2T, …`. With one thread (or one chunk) the workers run
-/// inline in index order — the exact serial fallback.
-///
-/// # Panics
-///
-/// Propagates a panic from any worker.
-pub fn map_chunks<R: Send>(n_chunks: usize, worker: impl Fn(usize) -> R + Sync) -> Vec<R> {
-    let t = threads().min(n_chunks);
-    if t <= 1 {
-        return (0..n_chunks).map(worker).collect();
-    }
-    let ovr = current_override();
-    let mut slots: Vec<Option<R>> = (0..n_chunks).map(|_| None).collect();
-    thread::scope(|s| {
-        let worker = &worker;
-        let mut handles = Vec::with_capacity(t);
-        let mut inline: Vec<(usize, R)> = Vec::new();
-        for tid in 0..t {
-            let spawned = thread::Builder::new().spawn_scoped(s, move || {
-                with_propagated(ovr, || {
-                    let mut produced = Vec::new();
-                    let mut c = tid;
-                    while c < n_chunks {
-                        produced.push((c, worker(c)));
-                        c += t;
-                    }
-                    produced
-                })
-            });
-            match spawned {
-                Ok(h) => handles.push(h),
-                Err(_) => {
-                    // The OS refused the thread: run this worker's chunks
-                    // on the coordinator. Chunk structure is unchanged, so
-                    // the result is bit-identical.
-                    obs::counter_add("par.spawn_fallback", 1);
-                    let mut c = tid;
-                    while c < n_chunks {
-                        inline.push((c, worker(c)));
-                        c += t;
-                    }
-                }
-            }
-        }
-        for h in handles {
-            match h.join() {
-                Ok(produced) => {
-                    for (c, r) in produced {
-                        slots[c] = Some(r);
-                    }
-                }
-                Err(payload) => resume_unwind(payload),
-            }
-        }
-        for (c, r) in inline {
-            slots[c] = Some(r);
-        }
-    });
-    slots
-        .into_iter()
-        .map(|r| match r {
-            Some(v) => v,
-            None => unreachable!("every chunk computed"),
-        })
-        .collect()
-}
-
 /// A unit of pool work: a lifetime-erased chunk closure plus its static
 /// chunk assignment. The job lives behind the pool mutex only while the
 /// posting coordinator is inside [`for_each_chunk`], which drains every
@@ -306,26 +219,23 @@ struct PoolState {
     job: Option<Job>,
     /// Participating workers that have not yet finished the current job.
     remaining: usize,
-    /// Set when a worker chunk panicked; the coordinator re-raises after
-    /// the drain so no chunk is ever silently lost.
-    panicked: bool,
+    /// The first panic payload caught on a worker during the current job;
+    /// the coordinator re-raises it after the drain, so no chunk is ever
+    /// silently lost and the caller sees the chunk's own message.
+    panic: Option<Box<dyn Any + Send>>,
     /// Detached workers spawned so far (their indices are `1..=workers`).
     workers: usize,
 }
 
-struct PoolShared {
+/// The process-wide pool: the job bookkeeping its detached workers share,
+/// plus a region lock that serializes coordinators (one fork-join region
+/// at a time; concurrent callers queue rather than oversubscribe).
+struct Pool {
     state: Mutex<PoolState>,
     /// Signals workers that `epoch` moved.
     work: Condvar,
     /// Signals the coordinator that `remaining` reached zero.
     done: Condvar,
-}
-
-/// The process-wide kernel pool: detached workers plus a region lock that
-/// serializes coordinators (one fork-join region at a time; concurrent
-/// callers queue rather than oversubscribe).
-struct Pool {
-    shared: Arc<PoolShared>,
     region: Mutex<()>,
 }
 
@@ -333,60 +243,60 @@ static POOL: OnceLock<Pool> = OnceLock::new();
 
 fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool {
-        shared: Arc::new(PoolShared {
-            state: Mutex::new(PoolState {
-                epoch: 0,
-                job: None,
-                remaining: 0,
-                panicked: false,
-                workers: 0,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
+        state: Mutex::new(PoolState {
+            epoch: 0,
+            job: None,
+            remaining: 0,
+            panic: None,
+            workers: 0,
         }),
+        work: Condvar::new(),
+        done: Condvar::new(),
         region: Mutex::new(()),
     })
 }
 
-fn worker_loop(shared: Arc<PoolShared>, widx: usize) {
+fn worker_loop(p: &'static Pool, widx: usize) {
+    IN_POOL_REGION.with(|g| g.set(true));
     let mut seen = 0u64;
     loop {
         let job = {
-            let mut st = lock_unpoisoned(&shared.state);
+            let mut st = lock_unpoisoned(&p.state);
             loop {
                 if st.epoch != seen {
                     seen = st.epoch;
                     break st.job;
                 }
-                st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+                st = p.work.wait(st).unwrap_or_else(PoisonError::into_inner);
             }
         };
         let Some(job) = job else { continue };
         if widx >= job.stride {
             continue;
         }
-        IN_POOL_REGION.with(|g| g.set(true));
         // SAFETY: the coordinator that posted `job` blocks until this
         // worker decrements `remaining` below, so the closure behind
         // `job.f` outlives the entire execution here.
         let f = unsafe { &*job.f };
+        // A worker runs nothing but jobs, so it simply takes each job's
+        // override as its own.
+        OVERRIDE.with(|o| o.set(job.ovr));
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            with_propagated(job.ovr, || {
-                let mut c = widx;
-                while c < job.n_chunks {
-                    f(c);
-                    c += job.stride;
-                }
-            });
+            let mut c = widx;
+            while c < job.n_chunks {
+                f(c);
+                c += job.stride;
+            }
         }));
-        IN_POOL_REGION.with(|g| g.set(false));
-        let mut st = lock_unpoisoned(&shared.state);
-        if outcome.is_err() {
-            st.panicked = true;
+        let mut st = lock_unpoisoned(&p.state);
+        if let Err(payload) = outcome {
+            if st.panic.is_none() {
+                st.panic = Some(payload);
+            }
         }
         st.remaining -= 1;
         if st.remaining == 0 {
-            shared.done.notify_all();
+            p.done.notify_all();
         }
     }
 }
@@ -396,14 +306,13 @@ fn worker_loop(shared: Arc<PoolShared>, widx: usize) {
 /// lifetime). Returns how many live workers are available; a refused
 /// spawn degrades the region to fewer participants — never to an error —
 /// and is recorded in `par.spawn_fallback`.
-fn ensure_workers(p: &Pool, needed: usize) -> usize {
-    let mut st = lock_unpoisoned(&p.shared.state);
+fn ensure_workers(p: &'static Pool, needed: usize) -> usize {
+    let mut st = lock_unpoisoned(&p.state);
     while st.workers < needed {
         let widx = st.workers + 1;
-        let shared = Arc::clone(&p.shared);
         match thread::Builder::new()
             .name(format!("evlab-par-{widx}"))
-            .spawn(move || worker_loop(shared, widx))
+            .spawn(move || worker_loop(p, widx))
         {
             Ok(_) => st.workers += 1,
             Err(_) => {
@@ -421,15 +330,15 @@ fn ensure_workers(p: &Pool, needed: usize) -> usize {
 /// cannot leave [`for_each_chunk`] — not even by panic — while a worker
 /// might still call the chunk closure.
 struct DrainGuard<'a> {
-    shared: &'a PoolShared,
+    pool: &'a Pool,
 }
 
 impl Drop for DrainGuard<'_> {
     fn drop(&mut self) {
-        let mut st = lock_unpoisoned(&self.shared.state);
+        let mut st = lock_unpoisoned(&self.pool.state);
         while st.remaining != 0 {
             st = self
-                .shared
+                .pool
                 .done
                 .wait(st)
                 .unwrap_or_else(PoisonError::into_inner);
@@ -439,26 +348,26 @@ impl Drop for DrainGuard<'_> {
 }
 
 /// Evaluates `f(c)` for every chunk index `c in 0..n_chunks` on the
-/// persistent worker pool, returning when all chunks are done. The
-/// zero-allocation dispatch primitive for the compute kernels: posting a
-/// job, executing it and draining the pool touch no heap (workers are
-/// spawned lazily, once per process).
+/// persistent worker pool, returning when all chunks are done. This is
+/// the module's one dispatcher: posting a job, executing it and draining
+/// the pool touch no heap (workers are spawned lazily, once per process).
 ///
 /// Chunks must be independent — `f` typically writes a disjoint region of
 /// the output per chunk index. As everywhere in this module, callers
 /// derive `n_chunks` and chunk boundaries from input sizes only, so
 /// results are bit-identical at every thread count; with one thread, one
 /// chunk, or from inside another pool region the chunks run inline in
-/// ascending order (the exact serial fallback — nested kernel parallelism
+/// ascending order (the exact serial fallback — nested parallelism
 /// degrades to the serial path rather than deadlocking on the region
 /// lock).
 ///
 /// # Panics
 ///
-/// Propagates a panic from any chunk.
+/// Re-raises the original panic of a chunk, after every other
+/// participant has finished.
 pub fn for_each_chunk(n_chunks: usize, f: impl Fn(usize) + Sync) {
     let t = threads().min(n_chunks);
-    if t <= 1 || IN_POOL_REGION.with(|g| g.get()) {
+    if t <= 1 || IN_POOL_REGION.with(Cell::get) {
         for c in 0..n_chunks {
             f(c);
         }
@@ -481,19 +390,18 @@ pub fn for_each_chunk(n_chunks: usize, f: impl Fn(usize) + Sync) {
     let erased: &'static (dyn Fn(usize) + Sync) =
         unsafe { std::mem::transmute::<&(dyn Fn(usize) + Sync), _>(&f) };
     {
-        let mut st = lock_unpoisoned(&p.shared.state);
+        let mut st = lock_unpoisoned(&p.state);
         st.epoch += 1;
         st.remaining = live;
-        st.panicked = false;
         st.job = Some(Job {
             f: erased,
             n_chunks,
             stride,
-            ovr: current_override(),
+            ovr: OVERRIDE.with(Cell::get),
         });
-        p.shared.work.notify_all();
+        p.work.notify_all();
     }
-    let drain = DrainGuard { shared: &p.shared };
+    let drain = DrainGuard { pool: p };
     IN_POOL_REGION.with(|g| g.set(true));
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         let mut c = 0;
@@ -504,19 +412,17 @@ pub fn for_each_chunk(n_chunks: usize, f: impl Fn(usize) + Sync) {
     }));
     IN_POOL_REGION.with(|g| g.set(false));
     drop(drain);
-    let worker_panicked = {
-        let mut st = lock_unpoisoned(&p.shared.state);
-        std::mem::replace(&mut st.panicked, false)
-    };
-    if let Err(payload) = outcome {
+    let worker_panic = lock_unpoisoned(&p.state).panic.take();
+    if let Some(payload) = outcome.err().or(worker_panic) {
         resume_unwind(payload);
     }
-    assert!(!worker_panicked, "par pool worker panicked");
 }
 
 /// Runs `f(index, &mut task)` over a set of independent mutable work
-/// units (typically disjoint slice chunks zipped into tuples), statically
-/// assigned to threads. With one thread the tasks run inline in order.
+/// units (typically disjoint slice chunks zipped into tuples): one
+/// [`for_each_chunk`] chunk per task, so with `T` participants task `i`
+/// runs on participant `i mod T`. With one thread the tasks run inline in
+/// order. Dispatch allocates nothing.
 ///
 /// Use this for elementwise updates where each task owns a disjoint
 /// region of the output — such updates are bit-identical under any
@@ -524,49 +430,34 @@ pub fn for_each_chunk(n_chunks: usize, f: impl Fn(usize) + Sync) {
 ///
 /// # Panics
 ///
-/// Propagates a panic from any worker.
+/// Re-raises the original panic of a task.
 pub fn for_each_task<T: Send>(tasks: &mut [T], f: impl Fn(usize, &mut T) + Sync) {
     let n = tasks.len();
-    let t = threads().min(n);
-    if t <= 1 {
-        for (i, task) in tasks.iter_mut().enumerate() {
-            f(i, task);
-        }
-        return;
-    }
-    let mut buckets: Vec<Vec<(usize, &mut T)>> = (0..t).map(|_| Vec::new()).collect();
-    for (i, task) in tasks.iter_mut().enumerate() {
-        buckets[i % t].push((i, task));
-    }
-    // Each bucket lives in a one-shot cell so that when a thread fails to
-    // spawn (its closure is dropped unrun), the coordinator can reclaim
-    // the bucket and run it inline instead of losing the work.
-    type Bucket<'a, T> = Vec<(usize, &'a mut T)>;
-    let cells: Vec<Mutex<Option<Bucket<'_, T>>>> =
-        buckets.into_iter().map(|b| Mutex::new(Some(b))).collect();
-    let ovr = current_override();
-    thread::scope(|s| {
-        let f = &f;
-        for cell in &cells {
-            let run_bucket = move || {
-                if let Some(bucket) = lock_unpoisoned(cell).take() {
-                    for (i, task) in bucket {
-                        f(i, task);
-                    }
-                }
-            };
-            let spawned = thread::Builder::new()
-                .spawn_scoped(s, move || with_propagated(ovr, run_bucket));
-            if spawned.is_err() {
-                obs::counter_add("par.spawn_fallback", 1);
-                if let Some(bucket) = lock_unpoisoned(cell).take() {
-                    for (i, task) in bucket {
-                        f(i, task);
-                    }
-                }
-            }
-        }
+    let base = tasks.as_mut_ptr() as usize;
+    for_each_chunk(n, |i| {
+        // SAFETY: `i < n`, `for_each_chunk` runs every index exactly
+        // once, and it returns only after every chunk finished — so this
+        // is the only reference to task `i`, and it does not outlive the
+        // borrow of `tasks`. `T: Send` lets the task be used on whichever
+        // participant runs chunk `i`.
+        f(i, unsafe { &mut *(base as *mut T).add(i) });
     });
+}
+
+/// Evaluates `worker(c)` for every chunk index `c in 0..n_chunks` and
+/// returns the results in chunk order: [`for_each_task`] over one result
+/// slot per chunk. With one thread (or one chunk) the workers run inline
+/// in index order — the exact serial fallback.
+///
+/// # Panics
+///
+/// Re-raises the original panic of a worker.
+pub fn map_chunks<R: Send>(n_chunks: usize, worker: impl Fn(usize) -> R + Sync) -> Vec<R> {
+    let mut slots: Vec<Option<R>> = (0..n_chunks).map(|_| None).collect();
+    for_each_task(&mut slots, |c, slot| *slot = Some(worker(c)));
+    // Every slot is filled: `for_each_task` either ran each task or
+    // re-raised the panic that stopped one.
+    slots.into_iter().flatten().collect()
 }
 
 /// Splits one mutable slice into disjoint chunks following `ranges`,
@@ -590,69 +481,6 @@ pub fn split_slices<'a, T>(mut slice: &'a mut [T], ranges: &[Range<usize>]) -> V
         covered = r.end;
     }
     out
-}
-
-/// Runs two closures, `fb` on a scoped worker thread while `fa` runs on
-/// the current thread, and returns both results. Used for subtree-per-task
-/// recursion (kd-tree construction); the *caller* gates spawning with a
-/// depth budget derived from [`threads`].
-///
-/// # Panics
-///
-/// Propagates a panic from either closure.
-pub fn join<A, B>(fa: impl FnOnce() -> A + Send, fb: impl FnOnce() -> B + Send) -> (A, B)
-where
-    A: Send,
-    B: Send,
-{
-    let ovr = current_override();
-    // `fb` sits in a one-shot cell: normally the worker takes it, but
-    // if the spawn fails (closure dropped unrun) the coordinator
-    // reclaims it and runs both halves serially.
-    let fb_cell = Mutex::new(Some(fb));
-    thread::scope(|s| {
-        let fb_cell = &fb_cell;
-        let spawned = thread::Builder::new().spawn_scoped(s, || {
-            with_propagated(ovr, || {
-                let fb = match lock_unpoisoned(fb_cell).take() {
-                    Some(fb) => fb,
-                    None => unreachable!("fb taken once"),
-                };
-                fb()
-            })
-        });
-        match spawned {
-            Ok(hb) => {
-                let a = fa();
-                let b = match hb.join() {
-                    Ok(b) => b,
-                    Err(payload) => resume_unwind(payload),
-                };
-                (a, b)
-            }
-            Err(_) => {
-                obs::counter_add("par.spawn_fallback", 1);
-                let fb = match lock_unpoisoned(fb_cell).take() {
-                    Some(fb) => fb,
-                    None => unreachable!("fb unclaimed after failed spawn"),
-                };
-                let a = fa();
-                let b = fb();
-                (a, b)
-            }
-        }
-    })
-}
-
-/// Depth budget for binary-recursive parallelism: `log2` of the thread
-/// count, rounded up. A budget of 0 means "never spawn".
-pub fn join_levels() -> u32 {
-    let t = threads();
-    if t <= 1 {
-        0
-    } else {
-        usize::BITS - (t - 1).leading_zeros()
-    }
 }
 
 #[cfg(test)]
@@ -830,13 +658,6 @@ mod tests {
     }
 
     #[test]
-    fn override_propagates_into_join_worker() {
-        let (on_caller, on_worker) = with_threads(7, || join(threads, threads));
-        assert_eq!(on_caller, 7);
-        assert_eq!(on_worker, 7);
-    }
-
-    #[test]
     fn with_threads_restores_previous_value() {
         let outer = with_threads(3, || {
             let inner = with_threads(5, threads);
@@ -844,21 +665,6 @@ mod tests {
             threads()
         });
         assert_eq!(outer, 3);
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let (a, b) = join(|| 2 + 2, || "ok");
-        assert_eq!(a, 4);
-        assert_eq!(b, "ok");
-    }
-
-    #[test]
-    fn join_levels_matches_thread_count() {
-        assert_eq!(with_threads(1, join_levels), 0);
-        assert_eq!(with_threads(2, join_levels), 1);
-        assert_eq!(with_threads(4, join_levels), 2);
-        assert_eq!(with_threads(5, join_levels), 3);
     }
 
     #[test]
@@ -907,6 +713,29 @@ mod tests {
     }
 
     #[test]
+    fn for_each_task_assigns_task_i_to_participant_i_mod_t() {
+        // Task i runs on the thread that ran task i mod t, the coordinator
+        // takes the residue 0, and tasks of a nested region run on the
+        // thread that started it.
+        let coordinator = thread::current().id();
+        let mut tasks: Vec<(Option<thread::ThreadId>, bool)> = vec![(None, false); 10];
+        with_threads(2, || {
+            for_each_task(&mut tasks, |_, (id, nested_inline)| {
+                let me = thread::current().id();
+                *id = Some(me);
+                let mut inner = [None; 3];
+                for_each_task(&mut inner, |_, x| *x = Some(thread::current().id()));
+                *nested_inline = inner.iter().all(|x| *x == Some(me));
+            });
+        });
+        assert_eq!(tasks[0].0, Some(coordinator));
+        for (i, (id, nested_inline)) in tasks.iter().enumerate() {
+            assert_eq!(*id, tasks[i % 2].0, "task {i}");
+            assert!(nested_inline, "nested region of task {i} left its thread");
+        }
+    }
+
+    #[test]
     fn for_each_chunk_ordered_reduction_is_thread_invariant() {
         // Per-chunk partials written to disjoint slots, reduced in chunk
         // order afterwards: the pool analogue of the map_chunks contract.
@@ -939,7 +768,9 @@ mod tests {
                 });
             });
         }));
-        assert!(caught.is_err(), "worker panic must reach the caller");
+        // Chunk 5 runs on a worker: the caller must see its own payload.
+        let payload = caught.expect_err("worker panic must reach the caller");
+        assert_eq!(payload.downcast_ref::<&str>(), Some(&"chunk 5 exploded"));
         // The pool must still be usable afterwards.
         let n = AtomicUsize::new(0);
         with_threads(4, || {

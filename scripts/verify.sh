@@ -49,7 +49,13 @@
 #      layer active (debug builds get it from `debug_assertions`);
 #  11. a clippy gate denying `unwrap()`/`expect()` on the ingestion,
 #      serving, kernel, graph and util crates — faults on those paths
-#      must surface as errors and quarantine counters, never as panics.
+#      must surface as errors and quarantine counters, never as panics;
+#  12. the serving benchmark (`servebench/`, a package of its own that
+#      the workspace build does not cover): its self-tests, then a smoke
+#      run of each workload (`replay`, `fanin`, `durable`), so an API
+#      change in `par`, `serve` or `core::online` cannot break it
+#      unnoticed. Each smoke run exits non-zero if its correctness gates
+#      fail.
 #
 # The smoke runs execute under EVLAB_OBS=1 with --metrics; afterwards
 # `obs_check` re-parses each metrics file with the crate's own JSON
@@ -168,4 +174,13 @@ echo "==> clippy panic gate: no unwrap/expect on ingestion, serving, kernel, gra
 cargo clippy -p evlab-events -p evlab-serve -p evlab-tensor -p evlab-gnn -p evlab-util --no-deps --offline -- \
     -D warnings -D clippy::unwrap_used -D clippy::expect_used
 
-echo "==> OK: build, lints, tests, kernel bit-identity, hot-path determinism, alloc budget, serving degradation, chaos degradation, crash recovery, differential fuzzing, runtime invariants and observability all pass"
+echo "==> servebench self-tests"
+cargo test --release --offline --manifest-path servebench/Cargo.toml
+
+for w in replay fanin durable; do
+    echo "==> servebench smoke: $w"
+    cargo run --release --offline --quiet --manifest-path servebench/Cargo.toml -- \
+        --workload "$w" --seed 1 --seconds 1 --trace 0 --smoke
+done
+
+echo "==> OK: build, lints, tests, kernel bit-identity, hot-path determinism, alloc budget, serving degradation, chaos degradation, crash recovery, differential fuzzing, runtime invariants, observability and the serving benchmark all pass"

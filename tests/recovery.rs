@@ -19,9 +19,10 @@ use evlab::datasets::DatasetConfig;
 use evlab::events::aer::AerCodec;
 use evlab::events::{Event, Polarity};
 use evlab::serve::{
-    CheckpointManager, DurableConfig, ServeConfig, ServeRuntime, Session, SessionStats,
+    CheckpointManager, DropPolicy, DurableConfig, ServeConfig, ServeRuntime, Session, SessionStats,
 };
 use evlab::tensor::OpCount;
+use evlab::util::frame::{restore_from_bytes, snapshot_to_bytes};
 use evlab::util::{par, Rng64};
 use std::path::{Path, PathBuf};
 
@@ -495,4 +496,53 @@ fn recovery_preserves_reorder_holds_and_quarantines() {
         "reorder holds/quarantines diverged across the crash"
     );
     let _ = std::fs::remove_dir_all(&root);
+}
+
+// ---------------------------------------------------------------------------
+// A failed restore is atomic
+// ---------------------------------------------------------------------------
+
+#[test]
+fn failed_restore_leaves_the_session_untouched() {
+    // The snapshot's classifier state is valid for the target, but its
+    // reorder buffer is not: the restore must fail without committing the
+    // classifier state that precedes the buffer in the payload.
+    let tr = train_cnn_only();
+    let served = |stream: &[u64], skew_us: Option<u64>| {
+        let mut s = Session::open(
+            0,
+            classifier(&tr, "cnn"),
+            tr.resolution,
+            1024,
+            DropPolicy::DropOldest,
+        )
+        .unwrap();
+        if let Some(skew_us) = skew_us {
+            s = s.with_reorder_skew(skew_us);
+        }
+        for &w in stream {
+            s.ingest_aer(w);
+            s.drain(usize::MAX);
+        }
+        s
+    };
+    let source = served(&words(&tr, 64, 20_000, 41), Some(500));
+    let mut target = served(&words(&tr, 96, 30_000, 42), None);
+    assert!(
+        !target.latencies_us().is_empty(),
+        "the target must have measurements to keep"
+    );
+    let snapshot = snapshot_to_bytes(&source);
+    let before = snapshot_to_bytes(&target);
+    let latencies = target.latencies_us().to_vec();
+    let error = target.error().map(|e| e.to_string());
+
+    let err = restore_from_bytes(&mut target, &snapshot).expect_err("reorder buffer mismatch");
+    assert!(err.to_string().contains("reorder buffer"), "{err}");
+    assert!(
+        snapshot_to_bytes(&target) == before,
+        "the failed restore changed the session state"
+    );
+    assert_eq!(target.latencies_us(), latencies.as_slice());
+    assert_eq!(target.error().map(|e| e.to_string()), error);
 }
