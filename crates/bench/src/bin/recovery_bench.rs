@@ -5,18 +5,23 @@
 //! the process state at the crash point (dropping the runtime and tearing
 //! the live WAL tail mid-record, the signature of a real crash
 //! mid-append), recovers into a fresh runtime, and finishes the stream.
+//! In the `gnn` legs the crash also tears the decision journal's newest
+//! record: GNN decides on every event, so every checkpoint appended a
+//! record of its own, and the tear makes recovery fall back one epoch.
 //! The recovered run is compared decision-for-decision against an oracle
 //! that served the same stream without a crash — the report records
 //! whether they were identical, alongside recovery latency, replay
-//! length, and on-disk footprint, per paradigm, in `BENCH_recovery.json`.
+//! length, and on-disk footprint (snapshots, WALs and the journal), per
+//! paradigm, in `BENCH_recovery.json`.
 //!
 //! Usage: `recovery_bench [--smoke] [--out PATH] [--metrics PATH]`
 //!
-//! `--smoke` runs one cadence × crash point over all three paradigms and
-//! asserts the recovery contract: every recovered history identical to
-//! its oracle, and at least one torn tail absorbed. `--metrics PATH`
-//! additionally writes the `ckpt.*` / `wal.*` observability counters for
-//! `obs_check --require` validation.
+//! `--smoke` runs one cadence × crash point over all three paradigms.
+//! Every run asserts the recovery contract: every recovered history
+//! identical to its oracle, at least one torn WAL tail absorbed, and at
+//! least one torn journal record absorbed with an identical recovery.
+//! `--metrics PATH` additionally writes the `ckpt.*` / `wal.*`
+//! observability counters for `obs_check --require` validation.
 
 use evlab_bench::{finish_metrics, metrics_arg, moving_cluster_stream};
 use evlab_core::online::OnlineClassifier;
@@ -126,6 +131,7 @@ struct RunResult {
     words_durable: u64,
     words_replayed: u64,
     torn_tail: bool,
+    journal_torn: bool,
     recovery_secs: f64,
     decisions: u64,
     wal_disk_bytes: u64,
@@ -158,15 +164,9 @@ fn run_one(
     }
     let session_dir = cm.session_dir(id);
     drop((rt, cm));
-    let mut torn_word = false;
-    if let Some(live_wal) = newest_wal(&session_dir) {
-        let log = std::fs::read(&live_wal).map_err(EvlabError::Io)?;
-        if log.len() > 3 {
-            // A crash mid-append: the tail record loses its checksum.
-            std::fs::write(&live_wal, &log[..log.len() - 3]).map_err(EvlabError::Io)?;
-            torn_word = true;
-        }
-    }
+    // A crash mid-append: the tail record loses its checksum.
+    let torn_word = newest_wal(&session_dir).map_or(Ok(false), |wal| tear(&wal))?;
+    let torn_journal = paradigm == "gnn" && tear(&session_dir.join("history.log"))?;
 
     // Phase 2: recovery in a "new process".
     let started = Instant::now();
@@ -214,11 +214,23 @@ fn run_one(
         words_durable: report.words_durable,
         words_replayed: report.words_replayed,
         torn_tail: report.torn_tail && torn_word,
+        journal_torn: report.journal_torn && torn_journal,
         recovery_secs,
         decisions,
         wal_disk_bytes,
         identical,
     })
+}
+
+/// Cuts the last 3 bytes off `path`, tearing its final record; returns
+/// whether there was a record to tear.
+fn tear(path: &std::path::Path) -> Result<bool, EvlabError> {
+    let log = std::fs::read(path).map_err(EvlabError::Io)?;
+    if log.len() <= 3 {
+        return Ok(false);
+    }
+    std::fs::write(path, &log[..log.len() - 3]).map_err(EvlabError::Io)?;
+    Ok(true)
 }
 
 fn newest_wal(dir: &std::path::Path) -> Option<PathBuf> {
@@ -273,6 +285,7 @@ fn main() -> Result<(), EvlabError> {
     let mut rows = Vec::new();
     let mut all_identical = true;
     let mut torn_tails = 0usize;
+    let mut journal_tears = 0usize;
     for paradigm in ["snn", "cnn", "gnn"] {
         for &cadence in &scale.cadences {
             for &frac in &scale.crash_fractions {
@@ -287,16 +300,18 @@ fn main() -> Result<(), EvlabError> {
                 let r = run_one(&paradigms, paradigm, cadence, crash_at, &words, &tag)?;
                 eprintln!(
                     "[recovery_bench] {paradigm} cadence={cadence} crash_at={}: durable={} \
-                     replayed={} torn={} recovery={:.1}ms identical={}",
+                     replayed={} torn={} journal_torn={} recovery={:.1}ms identical={}",
                     r.crash_at,
                     r.words_durable,
                     r.words_replayed,
                     r.torn_tail,
+                    r.journal_torn,
                     r.recovery_secs * 1e3,
                     r.identical,
                 );
                 all_identical &= r.identical;
                 torn_tails += r.torn_tail as usize;
+                journal_tears += (r.journal_torn && r.identical) as usize;
                 rows.push(Json::obj([
                     ("paradigm", Json::str(paradigm)),
                     ("cadence_words", Json::from(cadence)),
@@ -305,6 +320,7 @@ fn main() -> Result<(), EvlabError> {
                     ("words_durable", Json::from(r.words_durable)),
                     ("words_replayed", Json::from(r.words_replayed)),
                     ("torn_tail", Json::from(r.torn_tail)),
+                    ("journal_torn", Json::from(r.journal_torn)),
                     ("recovery_secs", Json::from(r.recovery_secs)),
                     ("decisions", Json::from(r.decisions)),
                     ("disk_bytes", Json::from(r.wal_disk_bytes)),
@@ -316,8 +332,8 @@ fn main() -> Result<(), EvlabError> {
 
     // The recovery contract, asserted on every run (smoke included): a
     // recovered session must be indistinguishable from one that never
-    // crashed, and the sweep must have absorbed at least one torn tail or
-    // the crash simulation went soft.
+    // crashed, and the sweep must have absorbed at least one torn WAL
+    // tail and one torn journal record, or the crash simulation went soft.
     if !all_identical {
         return Err(EvlabError::serve(
             "a recovered session diverged from its uncrashed oracle",
@@ -326,6 +342,11 @@ fn main() -> Result<(), EvlabError> {
     if torn_tails == 0 {
         return Err(EvlabError::serve("no torn WAL tail was exercised"));
     }
+    if journal_tears == 0 {
+        return Err(EvlabError::serve(
+            "no torn journal record was absorbed with an identical recovery",
+        ));
+    }
 
     let report = Json::obj([
         ("smoke", Json::from(smoke)),
@@ -333,6 +354,7 @@ fn main() -> Result<(), EvlabError> {
         ("event_dt_us", Json::from(scale.event_dt_us)),
         ("drain_every", Json::from(8usize)),
         ("torn_tails", Json::from(torn_tails)),
+        ("journal_tears", Json::from(journal_tears)),
         ("configs", Json::arr(rows)),
     ]);
     evlab_util::json::write_atomic(&out_path, &(report.to_string_pretty() + "\n"))?;

@@ -1,33 +1,55 @@
-//! Crash-consistent checkpointing: durable snapshots + an event WAL.
+//! Crash-consistent checkpointing: durable snapshots, a decision
+//! journal and an event WAL.
 //!
 //! A served session is long-lived state built from a stream that cannot
 //! be replayed from the sensor — once the process dies, everything since
 //! the last decision is gone unless serving made it durable. This module
 //! gives [`crate::ServeRuntime`] the classic database recipe, adapted to
-//! event streams:
+//! event streams. Each attached session keeps these artifacts in its
+//! directory `root/s{id:03}/`:
 //!
-//! * **Snapshots** — the whole [`Session`] (classifier state, reorder
-//!   buffer, statistics, history) serializes through
+//! * **`ckpt.{epoch}.bin`, snapshots** — the whole [`Session`] (classifier
+//!   state, reorder buffer, statistics) serializes through
 //!   [`evlab_util::frame::StateSnapshot`] into a CRC-framed container,
 //!   written atomically (temp + rename). A torn snapshot is detected and
-//!   skipped as a unit, never half-loaded.
-//! * **Write-ahead log** — every ingested AER word is appended to a
-//!   per-session log of checksummed, length-prefixed records *before* it
-//!   reaches the runtime. A crash mid-append leaves a torn tail that
-//!   [`evlab_util::frame::RecordCursor`] detects; the clean prefix
-//!   replays exactly.
-//! * **Epoch rotation** — each snapshot starts a new WAL epoch
-//!   (`ckpt.{epoch}.bin` + `wal.{epoch}.log`). The two newest epochs are
-//!   retained, so recovery can fall back one full epoch when the newest
-//!   snapshot is unreadable; older artifacts are deleted at rotation.
+//!   skipped as a unit, never half-loaded. The decision history is not in
+//!   it: the snapshot records only the history's length and the CRC-32 of
+//!   its journal encoding, so a snapshot's size does not grow with the
+//!   session's age.
+//! * **`history.log`, the decision journal** — append-only. Each
+//!   checkpoint first appends the decisions made since the previous one
+//!   as one [`evlab_util::frame::write_record`] record (the start index,
+//!   then 16-byte `(t_us, class)` entries), so a checkpoint costs
+//!   O(decisions since the previous checkpoint). The CRC recorded in the
+//!   snapshot is a running state the manager holds; no checkpoint reads
+//!   an old entry back. A failed append is cut back to the last record
+//!   boundary.
+//! * **`wal.{epoch}.log`, the write-ahead log** — every ingested AER word
+//!   is appended to a per-session log of checksummed, length-prefixed
+//!   records *before* it reaches the runtime. A crash mid-append leaves a
+//!   torn tail that [`evlab_util::frame::RecordCursor`] detects; the
+//!   clean prefix replays exactly.
+//! * **Epoch rotation** — a checkpoint writes the journal record, then
+//!   the snapshot, then rotates the WAL: each snapshot starts a new WAL
+//!   epoch. The two newest epochs are retained, so recovery can fall
+//!   back one full epoch when the newest snapshot is unusable; older
+//!   snapshots and WALs are deleted at rotation.
 //!
-//! **Recovery** ([`CheckpointManager::recover`]) loads the newest valid
-//! snapshot, then replays the WAL tail in order through the same ingress
-//! path live traffic used. Because session decisions are a pure function
-//! of the admitted event sequence (see `crate::runtime` on determinism),
-//! the recovered session is **bit-identical** to the pre-crash session —
-//! same logits, same history, same op counts — pinned by
-//! `tests/recovery.rs` at every possible crash offset.
+//! **Recovery** ([`CheckpointManager::recover`]) reads the journal once,
+//! up to its first torn or damaged record. It loads the newest snapshot
+//! that validates *and* whose history length ends a record of that
+//! intact journal prefix with a matching CRC; any other snapshot counts
+//! as corrupt and recovery falls back one epoch. It then cuts the journal
+//! back to the loaded snapshot's boundary and replays the WAL tail in
+//! order through the same ingress path live traffic used. Because
+//! session decisions are a pure function of the admitted event sequence
+//! (see `crate::runtime` on determinism), the recovered session is
+//! **bit-identical** to the pre-crash session — same logits, same
+//! history, same op counts — pinned by `tests/recovery.rs` at every
+//! possible crash offset of the WAL and of the journal's newest record.
+//! Damage to an *older* journal record invalidates every retained
+//! snapshot: it is detected and counted, not absorbed, and recovery
+//! starts fresh.
 //!
 //! **Shedding caveat.** The WAL records *offered* words; queue admission
 //! is re-decided during replay. That reproduces the original outcome
@@ -38,9 +60,11 @@
 //! `drain_every × sessions ≤ queue_depth` and no event is ever shed.
 //!
 //! Observability (enable with `EVLAB_OBS=1`): `ckpt.snapshots`,
-//! `ckpt.bytes`, `ckpt.load_ok`, `ckpt.load_corrupt`, `wal.appends`,
-//! `wal.bytes`, `wal.rotations`, `wal.replayed`, `wal.torn_tails`
-//! counters plus `ckpt.write` / `wal.replay` spans.
+//! `ckpt.bytes` (snapshot bytes written), `ckpt.journal_bytes` (journal
+//! bytes appended), `ckpt.journal_torn` (journals that ended in a torn or
+//! damaged record at recovery), `ckpt.load_ok`, `ckpt.load_corrupt`,
+//! `wal.appends`, `wal.bytes`, `wal.rotations`, `wal.replayed`,
+//! `wal.torn_tails` counters plus `ckpt.write` / `wal.replay` spans.
 //!
 //! # Examples
 //!
@@ -79,12 +103,13 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use evlab_util::frame::{
-    self, snapshot_to_bytes, write_atomic_bytes, RecordCursor, RecordError,
+    self, snapshot_to_bytes, write_atomic_bytes, Decoder, Encoder, FrameError, RecordCursor,
+    RecordError,
 };
 use evlab_util::{obs, EvlabError};
 
 use crate::runtime::ServeRuntime;
-use crate::session::SessionId;
+use crate::session::{self, Session, SessionId, HISTORY_ENTRY_BYTES};
 
 /// Durability parameters for a [`CheckpointManager`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -132,8 +157,8 @@ pub struct RecoveryReport {
     /// Epoch of the snapshot that loaded, `None` when recovery started
     /// from a fresh session (no usable snapshot on disk).
     pub epoch_loaded: Option<u64>,
-    /// Snapshots tried and rejected (torn, corrupt, or mismatched) before
-    /// one loaded.
+    /// Snapshots tried and rejected (torn, corrupt, mismatched, or
+    /// referring past the intact journal) before one loaded.
     pub snapshots_rejected: u32,
     /// Ingested words covered by the loaded snapshot — the session had
     /// durably processed exactly this prefix of the stream.
@@ -143,6 +168,9 @@ pub struct RecoveryReport {
     /// Whether a torn record ended the WAL tail (the signature of a crash
     /// mid-append; everything before it replayed).
     pub torn_tail: bool,
+    /// Whether the decision journal ended in a torn or damaged record.
+    /// Recovery cut the journal back to the loaded snapshot's boundary.
+    pub journal_torn: bool,
 }
 
 impl RecoveryReport {
@@ -160,6 +188,17 @@ struct SessionDurability {
     /// it (absent for epoch 0 of a fresh session).
     epoch: u64,
     wal: File,
+    /// The decision journal `history.log`, open for appends.
+    journal: File,
+    /// Where the journal's last record ends: a failed append is cut back
+    /// to here.
+    journal_bytes: u64,
+    /// Decisions the journal holds: the durable prefix of the session's
+    /// history.
+    journaled: u64,
+    /// CRC-32 of the journal encoding of those decisions, extended at
+    /// every append so no checkpoint reads an old entry.
+    journal_crc: u32,
     /// Words ingested since the last snapshot.
     words_since: u64,
     /// Words ingested over the session's whole life; serialized into each
@@ -167,11 +206,57 @@ struct SessionDurability {
     total_words: u64,
 }
 
-/// Wires durable snapshots and the event WAL into a [`ServeRuntime`].
+impl SessionDurability {
+    /// Appends the decisions made since the previous append to the
+    /// journal as one record: the start index, then the entries. Nothing
+    /// is written when there are none.
+    fn append_journal(&mut self, history: &[(u64, usize)]) -> Result<(), EvlabError> {
+        let Some(new) = usize::try_from(self.journaled)
+            .ok()
+            .and_then(|done| history.get(done..))
+        else {
+            return Err(EvlabError::serve(format!(
+                "session {} holds {} decisions, fewer than the {} journaled",
+                self.id,
+                history.len(),
+                self.journaled
+            )));
+        };
+        if new.is_empty() {
+            return Ok(());
+        }
+        let mut payload = Encoder::new();
+        payload.put_u64(self.journaled);
+        for &entry in new {
+            session::put_history_entry(&mut payload, entry);
+        }
+        let payload = payload.into_bytes();
+        let mut record = Vec::with_capacity(payload.len() + frame::RECORD_OVERHEAD);
+        frame::write_record(&mut record, &payload);
+        if let Err(e) = self.journal.write_all(&record).and_then(|()| self.journal.flush()) {
+            // Keep the journal on a record boundary for the next append.
+            let _ = self.journal.set_len(self.journal_bytes);
+            return Err(EvlabError::Io(e));
+        }
+        self.journal_crc = extend_crc(self.journal_crc, &payload[8..]);
+        self.journaled = history.len() as u64;
+        self.journal_bytes += record.len() as u64;
+        obs::counter_add("ckpt.journal_bytes", record.len() as u64);
+        Ok(())
+    }
+}
+
+/// Extends a finished CRC-32 over `bytes`.
+fn extend_crc(crc: u32, bytes: &[u8]) -> u32 {
+    frame::crc32_update(crc ^ 0xFFFF_FFFF, bytes) ^ 0xFFFF_FFFF
+}
+
+/// Wires durable snapshots, the decision journal and the event WAL into
+/// a [`ServeRuntime`].
 ///
 /// One manager serves many sessions; each attached session gets its own
-/// directory `root/s{id:03}/` with epoch-keyed artifacts. See the
-/// [module docs](self) for the format and the recovery contract.
+/// directory `root/s{id:03}/`. See the [module docs](self) for the
+/// artifacts and the recovery contract.
 pub struct CheckpointManager {
     config: DurableConfig,
     sessions: Vec<SessionDurability>,
@@ -185,13 +270,120 @@ fn wal_path(dir: &Path, epoch: u64) -> PathBuf {
     dir.join(format!("wal.{epoch}.log"))
 }
 
+fn journal_path(dir: &Path) -> PathBuf {
+    dir.join("history.log")
+}
+
+/// The intact prefix of a decision journal, as recovery reads it once.
+/// The default is the empty journal.
+#[derive(Debug, Default)]
+struct Journal {
+    /// Every entry of the intact records, in order.
+    entries: Vec<(u64, usize)>,
+    /// The end of every intact record, in order.
+    ends: Vec<RecordEnd>,
+    /// Whether a torn or damaged record cut the read short.
+    torn: bool,
+}
+
+/// Where a journal prefix ends; the default is the empty prefix.
+#[derive(Debug, Clone, Copy, Default)]
+struct RecordEnd {
+    /// Entries before this point.
+    len: u64,
+    /// Byte offset of this point in the file.
+    bytes: u64,
+    /// CRC-32 of the journal encoding of those entries.
+    crc: u32,
+}
+
+impl Journal {
+    /// Reads `path` up to its first torn or damaged record. A missing
+    /// journal reads as empty.
+    fn read(path: &Path) -> Result<Self, EvlabError> {
+        let mut journal = Journal::default();
+        let log = match fs::read(path) {
+            Ok(log) => log,
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(journal),
+            Err(e) => return Err(EvlabError::Io(e)),
+        };
+        let mut cursor = RecordCursor::new(&log);
+        loop {
+            match cursor.next_record() {
+                Ok(Some(payload)) => {
+                    let Some(crc) = journal.push_record(payload) else {
+                        journal.torn = true;
+                        break;
+                    };
+                    journal.ends.push(RecordEnd {
+                        len: journal.entries.len() as u64,
+                        bytes: cursor.position() as u64,
+                        crc,
+                    });
+                }
+                Ok(None) => break,
+                Err(RecordError::TornTail { .. }) => {
+                    journal.torn = true;
+                    break;
+                }
+            }
+        }
+        Ok(journal)
+    }
+
+    /// Appends one record's entries and returns the CRC at its end, or
+    /// `None` (appending nothing) when the record does not continue the
+    /// prefix: a bad shape or a start index other than the entry count.
+    fn push_record(&mut self, payload: &[u8]) -> Option<u32> {
+        let entries = payload.get(8..)?;
+        if entries.len() % HISTORY_ENTRY_BYTES != 0 {
+            return None;
+        }
+        let mut dec = Decoder::new(payload);
+        if dec.take_u64().ok()? != self.entries.len() as u64 {
+            return None;
+        }
+        let decoded: Result<Vec<_>, FrameError> = (0..entries.len() / HISTORY_ENTRY_BYTES)
+            .map(|_| session::take_history_entry(&mut dec))
+            .collect();
+        self.entries.extend(decoded.ok()?);
+        let crc = self.ends.last().map_or(0, |end| end.crc);
+        Some(extend_crc(crc, entries))
+    }
+
+    /// Where the prefix of `len` entries ends, if it is empty or a record
+    /// of the intact prefix ends there.
+    fn end_at(&self, len: u64) -> Option<RecordEnd> {
+        if len == 0 {
+            return Some(RecordEnd::default());
+        }
+        self.ends
+            .binary_search_by_key(&len, |end| end.len)
+            .ok()
+            .map(|i| self.ends[i])
+    }
+
+    /// The history a snapshot refers to by length and CRC: the first
+    /// `len` entries, if they end a record of the intact prefix and their
+    /// CRC matches.
+    fn history(&self, len: u64, crc: u32) -> Option<&[(u64, usize)]> {
+        let end = self.end_at(len)?;
+        (end.crc == crc).then(|| &self.entries[..end.len as usize])
+    }
+}
+
 /// The snapshot container payload: the durable word count, then the
-/// session state inline. Splitting the wrapper from [`crate::Session`]
-/// keeps the word count out of the session (it belongs to the durability
+/// session state with its decision history kept as `(len, crc)` of the
+/// journal. Splitting the wrapper from [`Session`] keeps the word count
+/// and the journal out of the session (they belong to the durability
 /// layer, not the serving path).
 struct CheckpointPayload<'a> {
     total_words: u64,
-    session: &'a mut crate::session::Session,
+    /// CRC-32 of the journal encoding of the session's whole history.
+    history_crc: u32,
+    /// The journal a loaded history must be an intact prefix of.
+    journal: &'a Journal,
+    session: &'a mut Session,
 }
 
 impl frame::StateSnapshot for CheckpointPayload<'_> {
@@ -199,14 +391,33 @@ impl frame::StateSnapshot for CheckpointPayload<'_> {
         "serve-session-ckpt"
     }
 
-    fn save_state(&self, enc: &mut frame::Encoder) {
-        enc.put_u64(self.total_words);
-        frame::StateSnapshot::save_state(&*self.session, enc);
+    /// Version 2 moved the decision history to the journal.
+    fn state_version(&self) -> u16 {
+        2
     }
 
-    fn load_state(&mut self, dec: &mut frame::Decoder) -> Result<(), frame::FrameError> {
-        self.total_words = dec.take_u64()?;
-        frame::StateSnapshot::load_state(self.session, dec)
+    fn save_state(&self, enc: &mut Encoder) {
+        enc.put_u64(self.total_words);
+        self.session.save_with(enc, |history, enc| {
+            enc.put_u64(history.len() as u64);
+            enc.put_u32(self.history_crc);
+        });
+    }
+
+    fn load_state(&mut self, dec: &mut Decoder) -> Result<(), FrameError> {
+        let total_words = dec.take_u64()?;
+        let journal = self.journal;
+        self.session.load_with(dec, |dec| {
+            let len = dec.take_u64()?;
+            let crc = dec.take_u32()?;
+            journal.history(len, crc).map(<[_]>::to_vec).ok_or_else(|| {
+                dec.corrupt(format!(
+                    "{len} decisions with CRC {crc:#010x} do not end an intact journal record"
+                ))
+            })
+        })?;
+        self.total_words = total_words;
+        Ok(())
     }
 }
 
@@ -242,7 +453,7 @@ impl CheckpointManager {
     }
 
     /// Attaches a session: creates its directory and opens its epoch-0
-    /// WAL. The session must support snapshots
+    /// WAL and its decision journal. The session must support snapshots
     /// ([`crate::Session::supports_snapshot`]).
     ///
     /// # Errors
@@ -264,12 +475,18 @@ impl CheckpointManager {
         }
         let dir = self.session_dir(id);
         fs::create_dir_all(&dir).map_err(EvlabError::Io)?;
-        let wal = open_wal(&wal_path(&dir, 0))?;
+        let wal = open_append(&wal_path(&dir, 0))?;
+        let journal = open_append(&journal_path(&dir))?;
+        let journal_bytes = journal.metadata().map_err(EvlabError::Io)?.len();
         self.sessions.push(SessionDurability {
             id,
             dir,
             epoch: 0,
             wal,
+            journal,
+            journal_bytes,
+            journaled: 0,
+            journal_crc: 0,
             words_since: 0,
             total_words: 0,
         });
@@ -315,9 +532,11 @@ impl CheckpointManager {
         Ok(admission)
     }
 
-    /// Takes a durable snapshot of one session and rotates its WAL to a
-    /// new epoch, pruning artifacts older than the previous epoch. The
-    /// runtime is drained first (the snapshot's quiescence contract).
+    /// Takes a durable snapshot of one session: appends the decisions
+    /// made since the previous checkpoint to the journal, writes the
+    /// snapshot, then rotates the WAL to a new epoch, pruning artifacts
+    /// older than the previous epoch. The runtime is drained first (the
+    /// snapshot's quiescence contract).
     ///
     /// Returns the new epoch.
     ///
@@ -336,9 +555,13 @@ impl CheckpointManager {
         let session = rt
             .session_mut(id)
             .ok_or_else(|| EvlabError::serve(format!("unknown session {id}")))?;
+        // Journal first: the snapshot below refers to these decisions.
+        s.append_journal(session.history())?;
         let next = s.epoch + 1;
         let payload = CheckpointPayload {
             total_words: s.total_words,
+            history_crc: s.journal_crc,
+            journal: &Journal::default(),
             session,
         };
         let bytes = snapshot_to_bytes(&payload);
@@ -347,7 +570,7 @@ impl CheckpointManager {
         obs::counter_add("ckpt.bytes", bytes.len() as u64);
         // The snapshot is durable: open the next epoch's WAL and only then
         // retire the one before the previous (keep two for fallback).
-        s.wal = open_wal(&wal_path(&s.dir, next))?;
+        s.wal = open_append(&wal_path(&s.dir, next))?;
         s.epoch = next;
         s.words_since = 0;
         obs::counter_add("wal.rotations", 1);
@@ -360,14 +583,22 @@ impl CheckpointManager {
     }
 
     /// Recovers one session after a crash: loads the newest snapshot that
-    /// validates (falling back one epoch on corruption), replays the WAL
-    /// tail through the live ingress path, stops cleanly at a torn tail,
-    /// and seals the recovered state with a fresh checkpoint.
+    /// validates against the decision journal (falling back one epoch on
+    /// corruption), cuts the journal back to that snapshot, replays the
+    /// WAL tail through the live ingress path, stops cleanly at a torn
+    /// tail, and seals the recovered state with a fresh checkpoint.
     ///
     /// Call on a freshly opened session (same classifier construction and
     /// serve config as the crashed process); the session must already be
     /// [attached](CheckpointManager::attach) — attach opens epoch-0
-    /// artifacts, recover then supersedes them with what is on disk.
+    /// artifacts, recover then supersedes them with what is on disk. A
+    /// rejected snapshot leaves the session as it was, so every fallback
+    /// starts from the fresh session.
+    ///
+    /// When no snapshot is usable, recovery starts fresh and replays only
+    /// a WAL chain that begins at epoch 0; once that epoch has been pruned,
+    /// nothing is replayed and [`RecoveryReport::words_recovered`] is 0,
+    /// so the sensor re-sends the whole stream.
     ///
     /// Recovery never calls [`ServeRuntime::flush_session`]: a flush
     /// emits a terminal decision and would fork the recovered session's
@@ -379,9 +610,10 @@ impl CheckpointManager {
     /// # Errors
     ///
     /// Returns an error for an unattached session or a filesystem
-    /// failure. Corrupt snapshots and torn WAL tails are *not* errors —
-    /// they are what recovery exists to absorb (counted in
-    /// `ckpt.load_corrupt` / `wal.torn_tails`).
+    /// failure. Corrupt snapshots, torn or damaged journals and torn WAL
+    /// tails are *not* errors — they are what recovery exists to absorb
+    /// (counted in `ckpt.load_corrupt`, `ckpt.journal_torn` and
+    /// `wal.torn_tails`).
     pub fn recover(
         &mut self,
         rt: &mut ServeRuntime,
@@ -391,6 +623,10 @@ impl CheckpointManager {
         let drain_every = self.config.drain_every.max(1);
         let dir = self.session_dir(id);
         let epochs = on_disk_epochs(&dir)?;
+        let journal = Journal::read(&journal_path(&dir))?;
+        if journal.torn {
+            obs::counter_add("ckpt.journal_torn", 1);
+        }
         // Newest snapshot that validates wins; each rejected candidate
         // falls back one epoch (rotation retains two).
         let mut epoch_loaded = None;
@@ -405,8 +641,12 @@ impl CheckpointManager {
             let session = rt
                 .session_mut(id)
                 .ok_or_else(|| EvlabError::serve(format!("unknown session {id}")))?;
+            // The target is freshly opened: its empty history, whose CRC
+            // is 0, is what a rejected candidate's restore puts back.
             let mut payload = CheckpointPayload {
                 total_words: 0,
+                history_crc: 0,
+                journal: &journal,
                 session,
             };
             match frame::restore_from_bytes(&mut payload, &bytes) {
@@ -422,17 +662,24 @@ impl CheckpointManager {
                 }
             }
         }
+        let session = rt
+            .session(id)
+            .ok_or_else(|| EvlabError::serve(format!("unknown session {id}")))?;
+        let kept = journal.end_at(session.history().len() as u64).ok_or_else(|| {
+            EvlabError::serve(format!("session {id}: history is not a journal prefix"))
+        })?;
         // Replay the WAL tail: a snapshot closes its predecessor's log at
         // exactly the snapshot point, so `wal.{E}.log` holds only words
-        // *after* snapshot E — replaying every epoch from the loaded one
-        // onward, oldest first, covers the tail with no overlap.
-        let start_epoch = epoch_loaded.unwrap_or(0);
+        // *after* snapshot E — replaying the unbroken chain of epochs from
+        // the loaded one onward, oldest first, covers the tail with no
+        // overlap.
         let mut words_replayed = 0u64;
         let mut torn_tail = false;
-        for &epoch in epochs.iter().filter(|&&e| e >= start_epoch) {
+        let mut epoch = epoch_loaded.unwrap_or(0);
+        while !torn_tail {
             let path = wal_path(&dir, epoch);
             if !path.exists() {
-                continue;
+                break;
             }
             let log = fs::read(&path).map_err(EvlabError::Io)?;
             let mut cursor = RecordCursor::new(&log);
@@ -464,14 +711,17 @@ impl CheckpointManager {
                     }
                 }
             }
-            if torn_tail {
-                break;
-            }
+            epoch += 1;
         }
         rt.drain_all();
-        // Seal: the recovered state becomes the newest durable epoch, and
-        // the manager's counters resume from it.
+        // Seal: cut the journal back to the loaded snapshot, so the seal's
+        // record continues it; the recovered state becomes the newest
+        // durable epoch, and the manager's counters resume from it.
         let s = self.tracked(id)?;
+        s.journal.set_len(kept.bytes).map_err(EvlabError::Io)?;
+        s.journal_bytes = kept.bytes;
+        s.journaled = kept.len;
+        s.journal_crc = kept.crc;
         s.epoch = epochs.last().copied().unwrap_or(0);
         s.total_words = words_durable + words_replayed;
         s.words_since = 0;
@@ -483,11 +733,12 @@ impl CheckpointManager {
             words_durable,
             words_replayed,
             torn_tail,
+            journal_torn: journal.torn,
         })
     }
 }
 
-fn open_wal(path: &Path) -> Result<File, EvlabError> {
+fn open_append(path: &Path) -> Result<File, EvlabError> {
     OpenOptions::new()
         .create(true)
         .append(true)
@@ -678,6 +929,34 @@ mod tests {
     }
 
     #[test]
+    fn snapshot_size_does_not_grow_with_the_decision_history() {
+        let root = tmp("age");
+        let _ = fs::remove_dir_all(&root);
+        let all = words(1_000);
+        let mut rt = ServeRuntime::new(ServeConfig::new());
+        let id = open_stub(&mut rt);
+        let mut cm = CheckpointManager::new(DurableConfig::new(&root).with_cadence_words(0))
+            .expect("manager");
+        cm.attach(&rt, id).expect("attach");
+        let mut snapshot_after = |rt: &mut ServeRuntime, words: &[u64]| {
+            for &w in words {
+                cm.ingest(rt, id, w).expect("ingest");
+            }
+            let epoch = cm.checkpoint(rt, id).expect("checkpoint");
+            fs::metadata(ckpt_path(&cm.session_dir(id), epoch)).expect("snapshot").len()
+        };
+        let young = snapshot_after(&mut rt, &all[..10]);
+        let old = snapshot_after(&mut rt, &all[10..]);
+        assert_eq!(rt.session(id).unwrap().history().len(), 1_000, "a decision per word");
+        assert_eq!(old, young, "the snapshot grew with the session's age");
+        // The journal holds the history instead: one record per checkpoint.
+        let journal = fs::read(journal_path(&cm.session_dir(id))).expect("journal");
+        let records = 2 * (frame::RECORD_OVERHEAD + 8);
+        assert_eq!(journal.len(), records + 1_000 * HISTORY_ENTRY_BYTES);
+        let _ = fs::remove_dir_all(&root);
+    }
+
+    #[test]
     fn recovery_is_bit_identical_to_the_uncrashed_run() {
         let all = words(23);
         let crash_root = tmp("crash");
@@ -775,6 +1054,51 @@ mod tests {
         assert_eq!(report.words_replayed, 15, "both retained WAL epochs replayed");
         assert_sessions_match(rt.session(id).unwrap(), rt_o.session(id_o).unwrap(), "fallback");
         assert!(evlab_util::obs::counter_value("ckpt.load_corrupt") > corrupt_before);
+        let _ = fs::remove_dir_all(&crash_root);
+        let _ = fs::remove_dir_all(&oracle_root);
+    }
+
+    #[test]
+    fn a_torn_journal_is_cut_back_before_the_seal() {
+        let all = words(40);
+        let crash_root = tmp("journal");
+        let oracle_root = tmp("journal_oracle");
+        let _ = fs::remove_dir_all(&crash_root);
+        let _ = fs::remove_dir_all(&oracle_root);
+        let config = DurableConfig::new(&crash_root).with_cadence_words(8).with_drain_every(4);
+        let (_, cm0, id0) = run(&crash_root, &config, &all[..23]);
+        // Tear the record the checkpoint at word 16 appended.
+        let journal = journal_path(&cm0.session_dir(id0));
+        drop(cm0);
+        let log = fs::read(&journal).expect("journal");
+        fs::write(&journal, &log[..log.len() - 3]).expect("tear");
+        let mut rt = ServeRuntime::new(ServeConfig::new());
+        let id = open_stub(&mut rt);
+        let mut cm = CheckpointManager::new(config.clone()).expect("manager");
+        cm.attach(&rt, id).expect("attach");
+        let report = cm.recover(&mut rt, id).expect("recover");
+        assert!(report.journal_torn);
+        assert_eq!(report.epoch_loaded, Some(1), "the snapshot at word 16 refers to the tear");
+        assert_eq!(report.words_recovered(), 23);
+        for &w in &all[23..] {
+            cm.ingest(&mut rt, id, w).expect("ingest");
+        }
+        drop((rt, cm));
+        // A second crash: the seal cut the torn bytes away, so the newest
+        // snapshot's history ends an intact record and loads.
+        let mut rt = ServeRuntime::new(ServeConfig::new());
+        let id = open_stub(&mut rt);
+        let mut cm = CheckpointManager::new(config).expect("manager");
+        cm.attach(&rt, id).expect("attach");
+        let report = cm.recover(&mut rt, id).expect("recover");
+        assert!(!report.journal_torn);
+        assert_eq!(report.snapshots_rejected, 0);
+        assert_eq!(report.words_durable, 39);
+        let oracle = DurableConfig::new(&oracle_root).with_cadence_words(8).with_drain_every(4);
+        let (mut rt_o, _cm_o, id_o) = run(&oracle_root, &oracle, &all);
+        rt_o.drain_all();
+        let (recovered, straight) = (rt.session(id).unwrap(), rt_o.session(id_o).unwrap());
+        assert_sessions_match(recovered, straight, "second recovery");
         let _ = fs::remove_dir_all(&crash_root);
         let _ = fs::remove_dir_all(&oracle_root);
     }

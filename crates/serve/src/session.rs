@@ -614,12 +614,66 @@ fn load_ops(dec: &mut Decoder) -> Result<OpCount, FrameError> {
 /// by the format; they remain in the write-ahead log and are re-ingested
 /// on replay. Wall-clock state ([`Session::latencies_us`], the pending
 /// latency anchor) is measurement, not state, and resets on restore.
+///
+/// This snapshot carries the decision history inline, 16 bytes per
+/// decision; a durable checkpoint keeps it in the decision journal
+/// instead (see `crate::durable`). A failed restore leaves the session
+/// untouched (see `Session::load_with`).
 impl StateSnapshot for Session {
     fn state_kind(&self) -> &'static str {
         "serve-session"
     }
 
     fn save_state(&self, enc: &mut Encoder) {
+        self.save_with(enc, |history, enc| {
+            enc.put_u64(history.len() as u64);
+            for &entry in history {
+                put_history_entry(enc, entry);
+            }
+        });
+    }
+
+    fn load_state(&mut self, dec: &mut Decoder) -> Result<(), FrameError> {
+        self.load_with(dec, |dec| {
+            let n = dec.take_u64()? as usize;
+            if n > dec.remaining() / HISTORY_ENTRY_BYTES {
+                return Err(dec.corrupt(format!("{n} history entries exceed the payload")));
+            }
+            (0..n).map(|_| take_history_entry(dec)).collect()
+        })
+    }
+}
+
+/// Bytes of one encoded `(t_us, class)` history entry.
+pub(crate) const HISTORY_ENTRY_BYTES: usize = 16;
+
+/// Encodes one `(t_us, class)` history entry: the inline snapshot block
+/// and the decision journal share this encoding.
+pub(crate) fn put_history_entry(enc: &mut Encoder, (t, class): (u64, usize)) {
+    enc.put_u64(t);
+    enc.put_u64(class as u64);
+}
+
+/// Decodes one entry written by [`put_history_entry`].
+pub(crate) fn take_history_entry(dec: &mut Decoder) -> Result<(u64, usize), FrameError> {
+    let t = dec.take_u64()?;
+    let class = dec.take_u64()?;
+    let class = usize::try_from(class)
+        .map_err(|_| dec.corrupt(format!("decision class {class} overflows usize")))?;
+    Ok((t, class))
+}
+
+impl Session {
+    /// Writes the durable state: the one field list behind both the
+    /// standalone [`StateSnapshot`] and the checkpoint payload. The two
+    /// differ only in the decision-history block, which `history` writes
+    /// given the whole history: inline entries here, the length and the
+    /// journal CRC in a checkpoint (`crate::durable`).
+    pub(crate) fn save_with(
+        &self,
+        enc: &mut Encoder,
+        history: impl FnOnce(&[(u64, usize)], &mut Encoder),
+    ) {
         // Classifier state, tagged with its own kind/version so a restore
         // into a session serving a different paradigm fails loudly.
         match self.classifier.as_snapshot() {
@@ -639,11 +693,7 @@ impl StateSnapshot for Session {
             None => enc.put_bool(false),
         }
         save_stats(&self.stats, enc);
-        enc.put_u64(self.history.len() as u64);
-        for &(t, class) in &self.history {
-            enc.put_u64(t);
-            enc.put_u64(class as u64);
-        }
+        history(&self.history, enc);
         save_opt_decision(&self.last_decision, enc);
         save_ops(&self.ops, enc);
         enc.put_u64(self.restarts as u64);
@@ -651,12 +701,19 @@ impl StateSnapshot for Session {
         enc.put_bool(self.open);
     }
 
+    /// Restores what [`Session::save_with`] wrote, with `history` decoding
+    /// the history block its writer chose.
+    ///
     /// A failed restore leaves the session untouched: everything after
     /// the classifier state is decoded and checked before any of it is
     /// committed, and the classifier state is put back if that fails.
-    fn load_state(&mut self, dec: &mut Decoder) -> Result<(), FrameError> {
+    pub(crate) fn load_with(
+        &mut self,
+        dec: &mut Decoder,
+        history: impl FnOnce(&mut Decoder) -> Result<Vec<(u64, usize)>, FrameError>,
+    ) -> Result<(), FrameError> {
         let replaced = self.load_classifier(dec)?;
-        let restored = match self.decode_restored(dec) {
+        let restored = match self.decode_restored(dec, history) {
             Ok(restored) => restored,
             Err(e) => {
                 if let (Some(bytes), Some(snap)) = (replaced, self.classifier.as_snapshot_mut()) {
@@ -683,9 +740,7 @@ impl StateSnapshot for Session {
         self.oldest_pending = None;
         Ok(())
     }
-}
 
-impl Session {
     /// Loads the classifier part of a session snapshot. The classifier's
     /// own load is atomic; its payload comes first and carries no length,
     /// so it is the only way past it. Returns the state it replaced, in
@@ -723,7 +778,11 @@ impl Session {
 
     /// Decodes everything after the classifier state and holds it to the
     /// session invariants, without touching the live session.
-    fn decode_restored(&self, dec: &mut Decoder) -> Result<Restored, FrameError> {
+    fn decode_restored(
+        &self,
+        dec: &mut Decoder,
+        history: impl FnOnce(&mut Decoder) -> Result<Vec<(u64, usize)>, FrameError>,
+    ) -> Result<Restored, FrameError> {
         let mut reorder = self.reorder.clone();
         match (dec.take_bool()?, &mut reorder) {
             (true, Some(buf)) => buf.load_state(dec)?,
@@ -736,23 +795,14 @@ impl Session {
             (false, None) => {}
         }
         let stats = load_stats(dec)?;
-        let n = dec.take_u64()? as usize;
-        if n > dec.remaining() / 16 {
-            return Err(dec.corrupt(format!("{n} history entries exceed the payload")));
-        }
-        let mut history = Vec::with_capacity(n);
-        for _ in 0..n {
-            let t = dec.take_u64()?;
-            let class = dec.take_u64()? as usize;
-            history.push((t, class));
-        }
+        let history = history(dec)?;
         let last_decision = load_opt_decision(dec)?;
         let ops = load_ops(dec)?;
         let restarts = dec.take_u64()?;
         let restarts = u32::try_from(restarts)
             .map_err(|_| dec.corrupt(format!("restart count {restarts} overflows u32")))?;
         // The recorded cooldown is consumed for format compatibility but
-        // not restored (see `load_state`).
+        // not restored (see `load_with`).
         if let Some(c) = dec.take_opt_u64()? {
             u32::try_from(c).map_err(|_| dec.corrupt(format!("cooldown {c} overflows u32")))?;
         }

@@ -557,7 +557,9 @@ impl<'a> Decoder<'a> {
 ///
 /// The contract is bit-exactness: `save_state` then `load_state` into an
 /// identically-constructed object must leave it behaviourally identical
-/// to the original — every future output bit-for-bit the same.
+/// to the original — every future output bit-for-bit the same. In
+/// particular an object must load back its own save:
+/// [`restore_from_bytes`] relies on that to undo a rejected restore.
 pub trait StateSnapshot {
     /// Short identifier of the state's type (e.g. `"snn-online"`);
     /// recorded in the container and verified on restore.
@@ -605,7 +607,11 @@ pub fn snapshot_to_bytes(state: &dyn StateSnapshot) -> Vec<u8> {
 /// Validation order matters for crash recovery: the CRC is checked over
 /// the *whole* container before a single payload byte reaches
 /// `load_state`, so a torn or bit-flipped snapshot is rejected atomically
-/// and the target object is left untouched.
+/// and the target object is left untouched. A payload that loads but
+/// leaves trailing bytes is rejected too, and the target's own state,
+/// saved before the load, is loaded back: every rejection leaves the
+/// target as it was, provided the target reloads its own save (the
+/// [`StateSnapshot`] contract).
 ///
 /// # Errors
 ///
@@ -652,10 +658,17 @@ pub fn restore_from_bytes(state: &mut dyn StateSnapshot, bytes: &[u8]) -> Result
     if !dec.is_exhausted() {
         return Err(dec.corrupt("trailing bytes after snapshot payload"));
     }
+    // Saved first: only the load itself can tell where the state payload
+    // ends, so rejecting trailing bytes means putting this back.
+    let mut replaced = Encoder::new();
+    state.save_state(&mut replaced);
     let mut pdec = Decoder::new(payload);
     state.load_state(&mut pdec)?;
     if !pdec.is_exhausted() {
-        return Err(pdec.corrupt("trailing bytes after state payload"));
+        let err = pdec.corrupt("trailing bytes after state payload");
+        // A target always loads back state it saved itself.
+        let _ = state.load_state(&mut Decoder::new(replaced.as_bytes()));
+        return Err(err);
     }
     Ok(())
 }
@@ -907,6 +920,32 @@ mod tests {
                 "truncation at {cut} accepted"
             );
         }
+    }
+
+    #[test]
+    fn trailing_payload_bytes_are_rejected_without_touching_the_target() {
+        // Same kind as `Pair`, one byte more payload: the container and
+        // its CRC are valid, only the state payload overruns.
+        struct Padded(Pair);
+        impl StateSnapshot for Padded {
+            fn state_kind(&self) -> &'static str {
+                self.0.state_kind()
+            }
+            fn save_state(&self, enc: &mut Encoder) {
+                self.0.save_state(enc);
+                enc.put_u8(0xAB);
+            }
+            fn load_state(&mut self, dec: &mut Decoder) -> Result<(), FrameError> {
+                self.0.load_state(dec)
+            }
+        }
+        let bytes = snapshot_to_bytes(&Padded(Pair { a: 7, b: vec![1.5] }));
+        let mut target = Pair { a: 3, b: vec![2.5, -0.0] };
+        let err = restore_from_bytes(&mut target, &bytes).unwrap_err();
+        assert!(err.to_string().contains("trailing bytes"), "{err}");
+        assert_eq!(target.a, 3, "the rejected restore replaced the target");
+        let bits: Vec<u32> = target.b.iter().map(|x| x.to_bits()).collect();
+        assert_eq!(bits, vec![2.5f32.to_bits(), (-0.0f32).to_bits()]);
     }
 
     #[test]

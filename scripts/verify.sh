@@ -32,9 +32,12 @@
 #      ingress quarantined what it could not salvage, and every
 #      degradation curve is monotone non-increasing in the fault rate;
 #   8. a smoke run of `recovery_bench` (crash-consistent checkpointing:
-#      snapshot + WAL recovery across all three paradigms, with a torn
-#      WAL tail forced) — the binary exits non-zero unless every
-#      recovered session is bit-identical to its uncrashed oracle;
+#      snapshot + decision journal + WAL recovery across all three
+#      paradigms, with a torn WAL tail forced everywhere and a torn
+#      journal record in the GNN legs) — the binary exits non-zero unless
+#      every recovered session is bit-identical to its uncrashed oracle
+#      and a journal tear was absorbed; `obs_check` then requires the
+#      `ckpt.*`/`wal.*` counters, journal appends included;
 #   9. a smoke run of `fuzz_lab` (differential fuzzing: naive vs
 #      optimized graph builders, blocked vs naive GEMM, serial vs
 #      threaded execution, checkpoint/restore vs uninterrupted oracle,
@@ -152,6 +155,7 @@ cargo run -q --release --offline -p evlab-bench --bin obs_check -- \
     --require 'ckpt.*' \
     --require 'wal.*' \
     --require wal.torn_tails \
+    --require ckpt.journal_bytes \
     "$recovery_metrics"
 
 echo "==> fuzz_lab smoke (6 differential targets + regression corpus; invariants forced on)"

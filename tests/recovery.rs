@@ -6,7 +6,8 @@
 //! `EVLAB_THREADS`.
 //!
 //! The suite kills the process state at *every byte offset* of the live
-//! WAL tail, corrupts snapshots outright, and snapshots mid-flight with
+//! WAL tail and of the decision journal's newest record, corrupts
+//! snapshots and journal records outright, and snapshots mid-flight with
 //! events still held in the reorder buffer. In every case recovery must
 //! come back clean: the durable prefix is restored exactly, the lost
 //! suffix is re-ingested by the "sensor", and the result matches the
@@ -19,10 +20,11 @@ use evlab::datasets::DatasetConfig;
 use evlab::events::aer::AerCodec;
 use evlab::events::{Event, Polarity};
 use evlab::serve::{
-    CheckpointManager, DropPolicy, DurableConfig, ServeConfig, ServeRuntime, Session, SessionStats,
+    CheckpointManager, DropPolicy, DurableConfig, RecoveryReport, ServeConfig, ServeRuntime,
+    Session, SessionStats,
 };
 use evlab::tensor::OpCount;
-use evlab::util::frame::{restore_from_bytes, snapshot_to_bytes};
+use evlab::util::frame::{restore_from_bytes, snapshot_to_bytes, RecordCursor};
 use evlab::util::{par, Rng64};
 use std::path::{Path, PathBuf};
 
@@ -214,13 +216,73 @@ fn newest_ckpt(dir: &Path) -> PathBuf {
     best.expect("a checkpoint must exist").1
 }
 
-/// Copies the flat session directory (ckpt.*.bin / wal.*.log files).
+/// The decision journal of a session directory.
+fn journal(dir: &Path) -> PathBuf {
+    dir.join("history.log")
+}
+
+/// Byte offsets at which the journal's records start, plus its length.
+fn journal_record_starts(dir: &Path) -> (Vec<usize>, usize) {
+    let log = std::fs::read(journal(dir)).unwrap();
+    let mut cursor = RecordCursor::new(&log);
+    let mut starts = Vec::new();
+    loop {
+        let at = cursor.position();
+        match cursor.next_record() {
+            Ok(Some(_)) => starts.push(at),
+            Ok(None) => break,
+            Err(e) => panic!("an uncrashed journal is intact: {e}"),
+        }
+    }
+    (starts, log.len())
+}
+
+/// Copies the flat session directory (ckpt.*.bin / wal.*.log /
+/// history.log files).
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).unwrap();
     for entry in std::fs::read_dir(from).unwrap() {
         let entry = entry.unwrap();
         std::fs::copy(entry.path(), to.join(entry.file_name())).unwrap();
     }
+}
+
+/// Serves `stream` through a durable CNN session with no crash and
+/// leaves its on-disk state behind as a crash image to damage. Returns
+/// the image root and the session directory inside it.
+fn crash_image(tr: &Trained, stream: &[u64], cadence: u64, tag: &str) -> (PathBuf, PathBuf) {
+    let image = temp_root(tag);
+    let (mut rt, mut cm, id) = open_durable(tr, "cnn", &image, cadence, ServeConfig::new());
+    for &w in stream {
+        cm.ingest(&mut rt, id, w).unwrap();
+    }
+    let dir = cm.session_dir(id);
+    (image, dir)
+}
+
+/// Copies the crash image into a fresh root named by `tag`, lets
+/// `damage` rewrite one of its files, and recovers.
+fn recover_damaged(
+    tr: &Trained,
+    tag: &str,
+    image_dir: &Path,
+    cadence: u64,
+    damage: impl FnOnce(&Path),
+) -> (PathBuf, ServeRuntime, CheckpointManager, usize, RecoveryReport) {
+    let root = temp_root(tag);
+    let dir = root.join(image_dir.file_name().unwrap());
+    copy_dir(image_dir, &dir);
+    damage(&dir);
+    let (mut rt, mut cm, id) = open_durable(tr, "cnn", &root, cadence, ServeConfig::new());
+    let report = cm.recover(&mut rt, id).unwrap();
+    (root, rt, cm, id, report)
+}
+
+/// Rewrites `path` with `edit` applied to its bytes.
+fn rewrite(path: &Path, edit: impl FnOnce(&mut Vec<u8>)) {
+    let mut bytes = std::fs::read(path).unwrap();
+    edit(&mut bytes);
+    std::fs::write(path, &bytes).unwrap();
 }
 
 // ---------------------------------------------------------------------------
@@ -296,7 +358,7 @@ fn recovery_is_bit_identical_for_every_paradigm_and_thread_count() {
 }
 
 // ---------------------------------------------------------------------------
-// Kill at every byte offset of the live WAL
+// Kill at every byte offset of the live WAL and of the newest journal record
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -314,13 +376,7 @@ fn kill_at_every_wal_byte_offset_recovers_the_exact_record_prefix() {
     );
 
     // One full ingest; its on-disk state is the crash image we truncate.
-    let image = temp_root("offsets_image");
-    let (mut rt, mut cm, id) = open_durable(&tr, "cnn", &image, cadence, ServeConfig::new());
-    for &w in &stream {
-        cm.ingest(&mut rt, id, w).unwrap();
-    }
-    let image_dir = cm.session_dir(id);
-    drop((rt, cm));
+    let (image, image_dir) = crash_image(&tr, &stream, cadence, "offsets_image");
     // 43 words at cadence 8: snapshots at 8..=40, so the live WAL holds
     // words 41–43 as three 16-byte records.
     let durable_at_snapshot = 40u64;
@@ -328,20 +384,10 @@ fn kill_at_every_wal_byte_offset_recovers_the_exact_record_prefix() {
     assert_eq!(wal_len, 3 * RECORD_BYTES);
 
     for offset in 0..=wal_len {
-        let root = temp_root("offsets_case");
-        let dir = root.join(
-            image_dir
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default(),
-        );
-        copy_dir(&image_dir, &dir);
-        let wal = newest_wal(&dir);
-        let log = std::fs::read(&wal).unwrap();
-        std::fs::write(&wal, &log[..offset as usize]).unwrap();
-
-        let (mut rt, mut cm, id) = open_durable(&tr, "cnn", &root, cadence, ServeConfig::new());
-        let report = cm.recover(&mut rt, id).unwrap();
+        let (root, mut rt, mut cm, id, report) =
+            recover_damaged(&tr, "offsets_case", &image_dir, cadence, |dir| {
+                rewrite(&newest_wal(dir), |log| log.truncate(offset as usize));
+            });
         assert_eq!(
             report.words_recovered(),
             durable_at_snapshot + offset / RECORD_BYTES,
@@ -364,10 +410,60 @@ fn kill_at_every_wal_byte_offset_recovers_the_exact_record_prefix() {
         let _ = std::fs::remove_dir_all(&root);
     }
     let _ = std::fs::remove_dir_all(&image);
+
+    // The same crash inside the decision journal, on a stream whose last
+    // two checkpoints are separated by decisions (the byte-flip test's):
+    // only the newest snapshot refers to the journal's newest record, so
+    // cutting that record anywhere short of its end rejects it, and
+    // recovery falls back one epoch to the snapshot at word 32 and
+    // replays both retained WALs.
+    let stream = words(&tr, 43, 10_000, 29);
+    let straight = oracle(
+        &tr,
+        "cnn",
+        &stream,
+        cadence,
+        ServeConfig::new(),
+        "offsets_journal_oracle",
+    );
+    let (image, image_dir) = crash_image(&tr, &stream, cadence, "offsets_journal_image");
+    let (starts, journal_len) = journal_record_starts(&image_dir);
+    let newest = *starts.last().expect("the journal holds records");
+    for offset in newest..=journal_len {
+        let (root, mut rt, _cm, id, report) =
+            recover_damaged(&tr, "offsets_journal_case", &image_dir, cadence, |dir| {
+                rewrite(&journal(dir), |log| log.truncate(offset));
+            });
+        let intact = offset == journal_len;
+        assert_eq!(
+            report.snapshots_rejected,
+            u32::from(!intact),
+            "journal cut at {offset}: only the newest snapshot refers to the newest record"
+        );
+        assert_eq!(
+            report.words_durable,
+            if intact { durable_at_snapshot } else { durable_at_snapshot - cadence },
+            "journal cut at {offset}: the last two checkpoints must be separated by decisions"
+        );
+        assert_eq!(
+            report.journal_torn,
+            offset != newest && !intact,
+            "journal cut at {offset}: only a partial record is torn"
+        );
+        assert_eq!(report.words_recovered(), stream.len() as u64);
+        rt.drain_all();
+        assert_eq!(
+            fingerprint(rt.session(id).unwrap()),
+            straight,
+            "journal cut at {offset}: recovered session diverged from the uncrashed oracle"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+    let _ = std::fs::remove_dir_all(&image);
 }
 
 // ---------------------------------------------------------------------------
-// Snapshot corruption: fall back one epoch, never panic
+// Snapshot and journal corruption: fall back one epoch, never panic
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -384,13 +480,7 @@ fn corrupt_snapshot_byte_flips_fall_back_and_still_converge() {
         "flips_oracle",
     );
 
-    let image = temp_root("flips_image");
-    let (mut rt, mut cm, id) = open_durable(&tr, "cnn", &image, cadence, ServeConfig::new());
-    for &w in &stream {
-        cm.ingest(&mut rt, id, w).unwrap();
-    }
-    let image_dir = cm.session_dir(id);
-    drop((rt, cm));
+    let (image, image_dir) = crash_image(&tr, &stream, cadence, "flips_image");
     let ckpt_len = std::fs::read(newest_ckpt(&image_dir)).unwrap().len();
 
     // CRC32 detects any single-byte flip, so every flip must reject the
@@ -399,21 +489,10 @@ fn corrupt_snapshot_byte_flips_fall_back_and_still_converge() {
     let mut offsets: Vec<usize> = (0..ckpt_len).step_by(13).collect();
     offsets.push(ckpt_len - 1);
     for flip_at in offsets {
-        let root = temp_root("flips_case");
-        let dir = root.join(
-            image_dir
-                .file_name()
-                .map(|n| n.to_string_lossy().into_owned())
-                .unwrap_or_default(),
-        );
-        copy_dir(&image_dir, &dir);
-        let ckpt = newest_ckpt(&dir);
-        let mut bytes = std::fs::read(&ckpt).unwrap();
-        bytes[flip_at] ^= 0x5A;
-        std::fs::write(&ckpt, &bytes).unwrap();
-
-        let (mut rt, mut cm, id) = open_durable(&tr, "cnn", &root, cadence, ServeConfig::new());
-        let report = cm.recover(&mut rt, id).unwrap();
+        let (root, mut rt, _cm, id, report) =
+            recover_damaged(&tr, "flips_case", &image_dir, cadence, |dir| {
+                rewrite(&newest_ckpt(dir), |bytes| bytes[flip_at] ^= 0x5A);
+            });
         assert_eq!(
             report.snapshots_rejected, 1,
             "flip at {flip_at}: the damaged snapshot must be rejected"
@@ -431,6 +510,55 @@ fn corrupt_snapshot_byte_flips_fall_back_and_still_converge() {
         );
         let _ = std::fs::remove_dir_all(&root);
     }
+
+    // A flip anywhere in the journal's newest record rejects exactly the
+    // newest snapshot, which refers to it; the older one still loads.
+    let (starts, journal_len) = journal_record_starts(&image_dir);
+    assert!(starts.len() >= 3, "the journal must hold older records too");
+    let newest = starts[starts.len() - 1];
+    for flip_at in newest..journal_len {
+        let (root, mut rt, _cm, id, report) =
+            recover_damaged(&tr, "flips_journal_case", &image_dir, cadence, |dir| {
+                rewrite(&journal(dir), |bytes| bytes[flip_at] ^= 0x5A);
+            });
+        assert_eq!(
+            report.snapshots_rejected, 1,
+            "journal flip at {flip_at}: only the newest snapshot refers to the newest record"
+        );
+        assert!(report.journal_torn, "journal flip at {flip_at}: the damage must be detected");
+        assert_eq!(report.words_recovered(), stream.len() as u64);
+        rt.drain_all();
+        assert_eq!(
+            fingerprint(rt.session(id).unwrap()),
+            straight,
+            "journal flip at {flip_at}: fallback recovery diverged from the uncrashed oracle"
+        );
+        let _ = std::fs::remove_dir_all(&root);
+    }
+
+    // Damage to an older record invalidates every retained snapshot:
+    // recovery detects it, says so, and starts fresh. Epoch 0's WAL is
+    // long pruned, so nothing is replayed and the sensor re-sends the
+    // whole stream.
+    let flip_at = (starts[0] + starts[1]) / 2;
+    let (root, mut rt, mut cm, id, report) =
+        recover_damaged(&tr, "flips_older_case", &image_dir, cadence, |dir| {
+            rewrite(&journal(dir), |bytes| bytes[flip_at] ^= 0x5A);
+        });
+    assert_eq!(report.epoch_loaded, None, "no snapshot may load past the damage");
+    assert_eq!(report.snapshots_rejected, 2);
+    assert!(report.journal_torn);
+    assert_eq!(report.words_recovered(), 0);
+    for &w in &stream {
+        cm.ingest(&mut rt, id, w).unwrap();
+    }
+    rt.drain_all();
+    assert_eq!(
+        fingerprint(rt.session(id).unwrap()),
+        straight,
+        "a fresh start fed the whole stream diverged from the uncrashed oracle"
+    );
+    let _ = std::fs::remove_dir_all(&root);
     let _ = std::fs::remove_dir_all(&image);
 }
 
