@@ -3,7 +3,7 @@
 //! Drives seeded random operation sequences through the workspace's core
 //! data paths and cross-checks every naive implementation against its
 //! optimized counterpart, with `evlab_util::check` invariants forced on
-//! so contract drift panics at the corrupting operation. Six targets:
+//! so contract drift panics at the corrupting operation. Seven targets:
 //!
 //! * `graph_builders` — naive vs kd-tree vs incremental vs sliding-window
 //!   graph construction over random event streams and configs.
@@ -21,6 +21,13 @@
 //! * `json_roundtrip` — random documents (astral-plane strings included)
 //!   through the writer and parser, plus crafted `\uXXXX` escape forms
 //!   with known expected values.
+//! * `gnn_stream` — the streaming GNN engine (`WindowedGnn`, with its
+//!   cached neighbour projections and lane kernels) vs a reference that
+//!   recomputes every frontier node from its raw input rows through the
+//!   public per-node kernels, over random streams, graph configs, window
+//!   policies, widths and both edge kernels: logits bit-identical at
+//!   every event, and the final logits within 1e-3 of a batch forward
+//!   over the compacted window.
 //!
 //! Every case is a pure function of `(target, seed, size)`: a mismatch
 //! report names all three, and the lab shrinks the failing size by
@@ -37,8 +44,10 @@
 use evlab_events::reorder::ReorderBuffer;
 use evlab_events::{Event, Polarity};
 use evlab_gnn::build::{incremental_build, kdtree_build, naive_build, GraphConfig};
-use evlab_gnn::graph::EventGraph;
-use evlab_gnn::window::{SlidingWindowGraph, WindowPolicy};
+use evlab_gnn::conv::NodeFeatures;
+use evlab_gnn::graph::{EventGraph, GraphView};
+use evlab_gnn::network::{GnnConfig, GnnNetwork};
+use evlab_gnn::window::{SlidingWindowGraph, WindowPolicy, WindowedGnn};
 use evlab_tensor::gemm::{gemm_into, gemm_naive_into};
 use evlab_tensor::scratch::Scratch;
 use evlab_tensor::OpCount;
@@ -66,6 +75,7 @@ const TARGETS: &[Target] = &[
     Target { name: "checkpoint", full_size: 400, smoke_size: 60, run: checkpoint },
     Target { name: "reorder_model", full_size: 500, smoke_size: 80, run: reorder_model },
     Target { name: "json_roundtrip", full_size: 48, smoke_size: 16, run: json_roundtrip },
+    Target { name: "gnn_stream", full_size: 300, smoke_size: 80, run: gnn_stream },
 ];
 
 // ---------------------------------------------------------------------
@@ -133,6 +143,18 @@ fn apply_env_faults(events: Vec<Event>, seed: u64) -> Vec<Event> {
         .collect();
     out.sort_by_key(|e| e.t);
     out
+}
+
+/// A random window policy: count-, age- or doubly bounded.
+fn random_policy(rng: &mut Rng64) -> WindowPolicy {
+    match rng.next_index(3) {
+        0 => WindowPolicy::MaxNodes(1 + rng.next_below(40) as usize),
+        1 => WindowPolicy::MaxAgeUs(1 + rng.next_below(20_000)),
+        _ => WindowPolicy::Both {
+            max_nodes: 1 + rng.next_below(40) as usize,
+            max_age_us: 1 + rng.next_below(20_000),
+        },
+    }
 }
 
 /// Flattened adjacency signature for exact graph comparison.
@@ -332,14 +354,7 @@ fn checkpoint(seed: u64, size: usize) -> Result<(), String> {
     // graphs at the end. The window requires sorted input.
     let mut sorted = events;
     sorted.sort_by_key(|e| e.t);
-    let policy = match rng.next_index(3) {
-        0 => WindowPolicy::MaxNodes(1 + rng.next_below(40) as usize),
-        1 => WindowPolicy::MaxAgeUs(1 + rng.next_below(20_000)),
-        _ => WindowPolicy::Both {
-            max_nodes: 1 + rng.next_below(40) as usize,
-            max_age_us: 1 + rng.next_below(20_000),
-        },
-    };
+    let policy = random_policy(&mut rng);
     let config = random_config(&mut rng);
     let mut ops = OpCount::new();
     let mut w_oracle = SlidingWindowGraph::new(config, policy);
@@ -476,6 +491,153 @@ fn reorder_model(seed: u64, size: usize) -> Result<(), String> {
             want.iter().map(|e| e.t.as_micros()).collect::<Vec<_>>(),
             got.iter().map(|e| e.t.as_micros()).collect::<Vec<_>>()
         ));
+    }
+    Ok(())
+}
+
+/// The streaming GNN as a plain frontier recompute, written against the
+/// public API only: each push recomputes the frontier nodes layer by layer
+/// with `AnyConv::node_forward` over their raw input rows (no cached
+/// projections, no lane kernels), propagates along `out_edges`, and pools
+/// in f64 — the engine's documented algorithm, at its full per-edge cost.
+struct ReferenceGnn {
+    net: GnnNetwork,
+    window: SlidingWindowGraph,
+    input: NodeFeatures,
+    layers: Vec<NodeFeatures>,
+    pool: Vec<f64>,
+}
+
+impl ReferenceGnn {
+    fn new(net: GnnNetwork, config: GraphConfig, policy: WindowPolicy) -> Self {
+        let layers: Vec<NodeFeatures> = net
+            .convs()
+            .iter()
+            .map(|c| NodeFeatures::zeros(0, c.out_dim()))
+            .collect();
+        let width = layers.last().map_or(0, NodeFeatures::dim);
+        ReferenceGnn {
+            window: SlidingWindowGraph::new(config, policy),
+            input: NodeFeatures::zeros(0, 2),
+            layers,
+            pool: vec![0.0; width],
+            net,
+        }
+    }
+
+    fn update(&mut self, event: Event, ops: &mut OpCount) -> Vec<f32> {
+        let outcome = self.window.push(event, ops);
+        let last = self.layers.len() - 1;
+        for &e in &outcome.evicted {
+            if (e as usize) < self.layers[last].nodes() {
+                for (p, &v) in self.pool.iter_mut().zip(self.layers[last].row(e as usize)) {
+                    *p -= v as f64;
+                }
+            }
+        }
+        let slots = self.window.slot_count();
+        self.input.resize_nodes(slots);
+        for f in &mut self.layers {
+            f.resize_nodes(slots);
+        }
+        let ins = outcome.inserted as usize;
+        let feat = self.window.node_features(ins);
+        self.input.row_mut(ins).copy_from_slice(&feat);
+        let mut frontier: Vec<(u64, u32)> = outcome
+            .reselected
+            .iter()
+            .map(|&s| (self.window.seq(s as usize), s))
+            .collect();
+        frontier.push((self.window.seq(ins), outcome.inserted));
+        for l in 0..=last {
+            for &(_, fi) in &frontier {
+                let i = fi as usize;
+                let prev = if l == 0 {
+                    &self.input
+                } else {
+                    &self.layers[l - 1]
+                };
+                let mut row = self.net.convs()[l].node_forward(&self.window, prev, i, ops);
+                for v in &mut row {
+                    *v = v.max(0.0);
+                }
+                if l == last {
+                    if i != ins {
+                        for (p, &v) in self.pool.iter_mut().zip(self.layers[last].row(i)) {
+                            *p -= v as f64;
+                        }
+                    }
+                    for (p, &v) in self.pool.iter_mut().zip(&row) {
+                        *p += v as f64;
+                    }
+                }
+                self.layers[l].row_mut(i).copy_from_slice(&row);
+            }
+            if l < last {
+                let mut next = frontier.clone();
+                for &(_, fi) in &frontier {
+                    next.extend(self.window.out_edges(fi as usize));
+                }
+                next.sort_by_key(|&(sq, _)| sq);
+                next.dedup();
+                frontier = next;
+            }
+        }
+        let n = self.window.node_count() as f64;
+        let pooled: Vec<f32> = self.pool.iter().map(|&p| (p / n) as f32).collect();
+        self.net.head_logits(&pooled, ops)
+    }
+}
+
+/// `WindowedGnn` vs [`ReferenceGnn`], logit bits compared at every event;
+/// then the final logits vs a batch forward over the compacted window
+/// (within 1e-3: the engine pools in f64, the batch path in f32). Output
+/// widths include ones that are not a multiple of 4 or 8, so the lane
+/// kernels' remainder lanes are exercised.
+fn gnn_stream(seed: u64, size: usize) -> Result<(), String> {
+    let mut rng = Rng64::seed_from_u64(seed ^ 0x676E_6E73);
+    let events = sorted_events(&mut rng, size);
+    let config = random_config(&mut rng);
+    let policy = random_policy(&mut rng);
+    let widths = [1usize, 3, 5, 7, 8, 13, 16];
+    let hidden: Vec<usize> = (0..1 + rng.next_index(3))
+        .map(|_| widths[rng.next_index(widths.len())])
+        .collect();
+    let classes = 2 + rng.next_index(4);
+    let mut net_config = GnnConfig::new(classes).with_hidden(hidden.clone());
+    if rng.bernoulli(0.5) {
+        net_config = net_config.with_spline_kernel(2 + rng.next_index(3));
+    }
+    let net = GnnNetwork::new(&net_config, &mut rng);
+    let case = format!("{:?} {policy:?} hidden {hidden:?}", net_config.kernel);
+    let mut engine = WindowedGnn::new(net.clone(), config, policy, classes);
+    let mut reference = ReferenceGnn::new(net.clone(), config, policy);
+    let mut ops = OpCount::new();
+    let mut last = None;
+    for (i, e) in events.iter().enumerate() {
+        let got = engine.update(*e, &mut ops);
+        let want = reference.update(*e, &mut ops);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+        if bits(got.as_slice()) != bits(&want) {
+            return Err(format!(
+                "{case}: event {i}: engine {:?} vs reference {want:?}",
+                got.as_slice()
+            ));
+        }
+        last = Some(want);
+    }
+    let Some(last) = last else {
+        return Ok(());
+    };
+    let mut batch = net;
+    let batch_logits = batch.forward(&engine.graph().to_event_graph(), &mut ops);
+    for (b, s) in batch_logits.as_slice().iter().zip(&last) {
+        if (b - s).abs() >= 1e-3 {
+            return Err(format!(
+                "{case}: batch {b} vs streaming {s} after {} events",
+                events.len()
+            ));
+        }
     }
     Ok(())
 }
@@ -768,6 +930,17 @@ mod tests {
     fn regression_json_surrogate_pair_seed0() {
         json_roundtrip(0, 2).expect("json surrogate regression (seed 0)");
         json_roundtrip(1, 1).expect("json surrogate regression (seed 1)");
+    }
+
+    /// The streaming GNN engine agrees with its frontier-recompute
+    /// reference bit for bit, for both kernels and every policy family.
+    #[test]
+    fn gnn_stream_matches_the_reference_on_a_few_seeds() {
+        check::set_enabled(true);
+        for seed in 0..12 {
+            gnn_stream(seed, 120).expect("gnn_stream case");
+        }
+        check::clear_override();
     }
 
     /// The committed corpus must parse and reference only known targets.

@@ -1,6 +1,7 @@
 //! Std-only throughput benchmark for the parallelized hot paths (camera
-//! simulation, frame encoding, LIF stepping, graph construction) and the
-//! dense kernels (blocked GEMM, im2col conv2d, the arena-backed CNN
+//! simulation, frame encoding, LIF stepping, graph construction), the
+//! streaming GNN engine (`gnn_stream`: sliding window plus incremental
+//! message passing, one event at a time) and the dense kernels (blocked GEMM, im2col conv2d, the arena-backed CNN
 //! training step) — the kernels are themselves panel/batch-parallel now,
 //! so they sweep thread counts like every other workload.
 //!
@@ -41,7 +42,8 @@ use evlab_bench::{
 use evlab_cnn::encode::{FrameEncoder, SignedCount, TimeSurface, VoxelGrid};
 use evlab_cnn::model::{build_cnn, CnnConfig};
 use evlab_gnn::build::{incremental_build, kdtree_build, GraphConfig};
-use evlab_gnn::window::{SlidingWindowGraph, WindowPolicy};
+use evlab_gnn::network::{GnnConfig, GnnNetwork};
+use evlab_gnn::window::{SlidingWindowGraph, WindowPolicy, WindowedGnn};
 use evlab_sensor::scene::MovingBar;
 use evlab_sensor::{CameraConfig, EventCamera};
 use evlab_snn::encode::SpikeTrain;
@@ -53,6 +55,7 @@ use evlab_tensor::gemm::{conv2d_forward, conv2d_forward_naive, gemm_into, gemm_n
 use evlab_tensor::network::BatchTrainer;
 use evlab_tensor::optim::Sgd;
 use evlab_tensor::{OpCount, Scratch, Tensor};
+use evlab_util::frame::Encoder;
 use evlab_util::json::Json;
 use evlab_util::{obs, par, Rng64};
 use std::collections::BTreeMap;
@@ -74,6 +77,7 @@ struct Scale {
     graph_events: usize,
     kdtree_events: usize,
     window_events: usize,
+    gnn_events: usize,
     gemm_dim: usize,
     gemm_iters: usize,
     conv_iters: usize,
@@ -96,6 +100,7 @@ impl Scale {
             graph_events: 60_000,
             kdtree_events: 20_000,
             window_events: 40_000,
+            gnn_events: 20_000,
             gemm_dim: 256,
             gemm_iters: 8,
             conv_iters: 300,
@@ -118,6 +123,7 @@ impl Scale {
             graph_events: 10_000,
             kdtree_events: 4_000,
             window_events: 8_000,
+            gnn_events: 4_000,
             gemm_dim: 96,
             gemm_iters: 3,
             conv_iters: 30,
@@ -307,6 +313,52 @@ fn window_workload(scale: &Scale) -> (u64, u64) {
     for &m in &phase_mults {
         h.write_u64(m);
     }
+    (h.finish(), events.len() as u64)
+}
+
+/// Updates at the end of the `gnn_stream` workload whose allocations are
+/// gated (the same count at both scales, so one budget serves both).
+const GNN_ALLOC_UPDATES: usize = 1_000;
+
+/// Streams the moving-cluster flow through the sliding-window GNN engine
+/// (`WindowedGnn::update`, hidden `[16, 16]`, `MaxNodes(256)`), one event
+/// at a time as a streaming session does. The fingerprint covers every
+/// event's logit bits and the final `save_state` bytes, so both the
+/// served decisions and the restorable session state must stay
+/// bit-stable. The last [`GNN_ALLOC_UPDATES`] updates form the
+/// steady-state allocation window: the engine's buffers have long reached
+/// their sizes there, so the budget is the returned logits tensor alone.
+fn gnn_stream_workload(scale: &Scale) -> (u64, u64) {
+    let stream = moving_cluster_stream(scale.gnn_events, 128, 500_000, 88);
+    let events = stream.as_slice();
+    let classes = 4;
+    let net = GnnNetwork::new(
+        &GnnConfig::new(classes).with_hidden(vec![16, 16]),
+        &mut Rng64::seed_from_u64(88),
+    );
+    let mut engine = WindowedGnn::new(
+        net,
+        GraphConfig::new(),
+        WindowPolicy::MaxNodes(256),
+        classes,
+    );
+    let mut ops = OpCount::new();
+    let mut h = Fnv1a::new();
+    let steady_from = events.len().saturating_sub(GNN_ALLOC_UPDATES);
+    let mut snap = alloc::snapshot();
+    for (i, e) in events.iter().enumerate() {
+        if i == steady_from {
+            snap = alloc::snapshot();
+        }
+        let logits = engine.update(*e, &mut ops);
+        for &v in logits.as_slice() {
+            h.write_f32(v);
+        }
+    }
+    alloc::record_steady("gnn_stream", alloc::delta_since(snap));
+    let mut enc = Encoder::new();
+    engine.save_state(&mut enc);
+    h.write(enc.as_bytes());
     (h.finish(), events.len() as u64)
 }
 
@@ -588,6 +640,15 @@ fn main() -> Result<(), evlab_util::EvlabError> {
             Box::new({
                 let s = make_scale();
                 move || window_workload(&s)
+            }),
+        ),
+        (
+            "gnn_stream",
+            "events/s",
+            true,
+            Box::new({
+                let s = make_scale();
+                move || gnn_stream_workload(&s)
             }),
         ),
         (

@@ -125,6 +125,135 @@ impl NodeFeatures {
     }
 }
 
+/// The value [`Iterator::sum`] over `f32` starts from (−0.0 on current
+/// toolchains). Lane accumulators start here, so each per-output sum
+/// reproduces the iterator's bits, signed zeros included.
+fn sum_identity() -> f32 {
+    std::iter::empty::<f32>().sum()
+}
+
+/// `out[o] = Σ_k w_t[k·n + o] · x[k]` over the `[in][out]`-transposed
+/// matrix `w_t` (`n = out.len()`). Each output lane keeps its own
+/// accumulator, starts from [`sum_identity`] and adds the same products in
+/// ascending `k`, so lane `o` equals
+/// `w[o].iter().zip(x).map(|(w, x)| w * x).sum::<f32>()` over the
+/// untransposed row bit for bit — while the inner loop runs across
+/// outputs and vectorizes.
+pub(crate) fn lane_matvec(w_t: &[f32], x: &[f32], out: &mut [f32]) {
+    out.fill(sum_identity());
+    for (&xk, w_row) in x.iter().zip(w_t.chunks_exact(out.len())) {
+        for (o, &w) in out.iter_mut().zip(w_row) {
+            *o += w * xk;
+        }
+    }
+}
+
+/// `out = b + W·x` per lane: [`lane_matvec`], then the bias added as the
+/// row-wise kernels add it (`b + Σ`; f32 addition commutes bit for bit).
+pub(crate) fn lane_affine(w_t: &[f32], b: &[f32], x: &[f32], out: &mut [f32]) {
+    lane_matvec(w_t, x, out);
+    for (o, &bo) in out.iter_mut().zip(b) {
+        *o += bo;
+    }
+}
+
+/// Transposes a row-major `[rows][cols]` matrix into `[cols][rows]`.
+pub(crate) fn transpose(w: &[f32], rows: usize, cols: usize) -> Vec<f32> {
+    let mut t = vec![0.0; rows * cols];
+    for (r, row) in w.chunks_exact(cols).enumerate() {
+        for (c, &v) in row.iter().enumerate() {
+            t[c * rows + r] = v;
+        }
+    }
+    t
+}
+
+/// A frozen [`GraphConv`] in the streaming engine's form, with every
+/// weight matrix transposed to `[in][out]` so the node kernel runs across
+/// output lanes.
+///
+/// The layer splits into a per-row neighbour projection `q_j = W_nbr·h_j`
+/// ([`RelationalLanes::project`]), which the caller caches and refreshes
+/// only when `h_j` changes, and a per-node kernel
+/// ([`RelationalLanes::node_forward`]) that reads `q_j` and adds the
+/// offset term per edge. Together they reproduce
+/// [`GraphConv::node_forward_into`] bit for bit: each `q_j` element is the
+/// same `f32` sum the untransposed row forms, and every message is still
+/// `((q + w_r0·r0) + w_r1·r1) + w_r2·r2`, added in in-neighbour order.
+#[derive(Debug, Clone)]
+pub(crate) struct RelationalLanes {
+    in_dim: usize,
+    out_dim: usize,
+    w_self_t: Vec<f32>, // [in, out]
+    w_nbr_t: Vec<f32>,  // [in, out]
+    w_rel_t: Vec<f32>,  // [3, out]
+    bias: Vec<f32>,     // [out]
+}
+
+impl RelationalLanes {
+    /// Output feature dimensionality.
+    pub(crate) fn out_dim(&self) -> usize {
+        self.out_dim
+    }
+
+    /// Width of one cached projection row.
+    pub(crate) fn proj_dim(&self) -> usize {
+        self.out_dim
+    }
+
+    /// Writes `q = W_nbr·h` into `q` (`out_dim` long).
+    pub(crate) fn project(&self, h: &[f32], q: &mut [f32], ops: &mut OpCount) {
+        lane_matvec(&self.w_nbr_t, h, q);
+        let macs = (self.out_dim * self.in_dim) as u64;
+        ops.record_mac(macs, macs);
+    }
+
+    /// The pre-activation message of node `i` from its input row `h_i` and
+    /// the cached projections of its in-neighbours. Writes `m`, uses `agg`
+    /// as the aggregation buffer (both at least `out_dim` long). Per edge
+    /// this costs `out × 3` MACs and `out` adds instead of
+    /// `out × (in + 3)` MACs.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn node_forward<G: GraphView + ?Sized>(
+        &self,
+        graph: &G,
+        h_i: &[f32],
+        proj: &NodeFeatures,
+        i: usize,
+        m: &mut [f32],
+        agg: &mut [f32],
+        ops: &mut OpCount,
+    ) {
+        let out = self.out_dim;
+        let (m, agg) = (&mut m[..out], &mut agg[..out]);
+        lane_affine(&self.w_self_t, &self.bias, h_i, m);
+        let macs = (out * self.in_dim) as u64;
+        ops.record_mac(macs, macs);
+        let nbrs = graph.in_neighbors(i);
+        if nbrs.is_empty() {
+            return;
+        }
+        let inv = 1.0 / nbrs.len() as f32;
+        let (wr0, rest) = self.w_rel_t.split_at(out);
+        let (wr1, wr2) = rest.split_at(out);
+        agg.fill(0.0);
+        for &j in nbrs {
+            let r = graph.relative_offset(i, j as usize);
+            let q = proj.row(j as usize);
+            for ((((a, &qo), &w0), &w1), &w2) in agg.iter_mut().zip(q).zip(wr0).zip(wr1).zip(wr2) {
+                *a += qo + w0 * r[0] + w1 * r[1] + w2 * r[2];
+            }
+        }
+        let edge_work = (nbrs.len() * out) as u64;
+        ops.record_mac(3 * edge_work, 3 * edge_work);
+        ops.record_add(edge_work);
+        for (mo, &a) in m.iter_mut().zip(agg.iter()) {
+            *mo += inv * a;
+        }
+        ops.record_mult(out as u64);
+    }
+}
+
 /// One relational graph-convolution layer.
 #[derive(Debug, Clone)]
 pub struct GraphConv {
@@ -197,6 +326,20 @@ impl GraphConv {
     /// Total scalar parameter count.
     pub fn param_count(&self) -> usize {
         self.w_self.len() + self.w_nbr.len() + self.w_rel.len() + self.bias.len()
+    }
+
+    /// A frozen copy of the current weights in the streaming engine's
+    /// transposed form.
+    pub(crate) fn lanes(&self) -> RelationalLanes {
+        let (i, o) = (self.in_dim, self.out_dim);
+        RelationalLanes {
+            in_dim: i,
+            out_dim: o,
+            w_self_t: transpose(self.w_self.value.as_slice(), o, i),
+            w_nbr_t: transpose(self.w_nbr.value.as_slice(), o, i),
+            w_rel_t: transpose(self.w_rel.value.as_slice(), o, 3),
+            bias: self.bias.value.as_slice().to_vec(),
+        }
     }
 
     /// Computes the pre-activation message for a single node given the
@@ -649,6 +792,36 @@ mod tests {
                 }
             });
         }
+    }
+
+    #[test]
+    fn lane_matvec_reproduces_iterator_sums_with_signed_zeros() {
+        let mut rng = Rng64::seed_from_u64(8);
+        let value = |rng: &mut Rng64| match rng.next_index(4) {
+            0 => 0.0f32,
+            1 => -0.0,
+            _ => rng.next_f32() * 2.0 - 1.0,
+        };
+        for (in_dim, out_dim) in [(1, 1), (2, 5), (16, 16), (3, 7)] {
+            for _ in 0..50 {
+                let w: Vec<f32> = (0..out_dim * in_dim).map(|_| value(&mut rng)).collect();
+                let x: Vec<f32> = (0..in_dim).map(|_| value(&mut rng)).collect();
+                let mut lanes = vec![f32::NAN; out_dim];
+                lane_matvec(&transpose(&w, out_dim, in_dim), &x, &mut lanes);
+                for (o, got) in lanes.iter().enumerate() {
+                    let want: f32 = w[o * in_dim..(o + 1) * in_dim]
+                        .iter()
+                        .zip(&x)
+                        .map(|(w, x)| w * x)
+                        .sum();
+                    assert_eq!(got.to_bits(), want.to_bits(), "{in_dim}x{out_dim} lane {o}");
+                }
+            }
+        }
+        // An all-(-0.0) product sum stays -0.0, as the iterator's does.
+        let mut out = [f32::NAN];
+        lane_matvec(&[1.0, 1.0], &[-0.0, -0.0], &mut out);
+        assert_eq!(out[0].to_bits(), (-0.0f32).to_bits());
     }
 
     #[test]

@@ -22,10 +22,11 @@
 //!   causal edges, a new event only adds computation for its own node,
 //!   never invalidating cached features.
 //! * [`window`] — the true sliding-window engine: a slot-stable ring-buffer
-//!   node store with per-cell FIFOs, age/count eviction policies, and
+//!   node store with a dense grid index, age/count eviction policies, and
 //!   incremental message passing that recomputes only the neighbourhoods
-//!   touched by an insert or an evict. Streaming sessions stay within a
-//!   bounded memory envelope with **no** full-graph rebuilds.
+//!   touched by an insert or an evict, over cached per-layer neighbour
+//!   projections. Streaming sessions stay within a bounded memory
+//!   envelope with **no** full-graph rebuilds.
 //! * [`pool`] — voxel-grid graph coarsening.
 //!
 //! # Examples

@@ -1,9 +1,9 @@
 //! Graph classifier: stacked graph convolutions, global mean pooling,
 //! linear head.
 
-use crate::conv::{GraphConv, NodeFeatures};
+use crate::conv::{GraphConv, NodeFeatures, RelationalLanes};
 use crate::graph::{EventGraph, GraphView};
-use crate::spline::SplineConv;
+use crate::spline::{SplineConv, SplineLanes};
 use evlab_tensor::init::xavier_uniform;
 use evlab_tensor::layer::Param;
 use evlab_tensor::loss::cross_entropy;
@@ -111,6 +111,14 @@ impl AnyConv {
         }
     }
 
+    /// A frozen copy of the layer in the streaming engine's form.
+    pub(crate) fn lanes(&self) -> LaneKernel {
+        match self {
+            AnyConv::Relational(c) => LaneKernel::Relational(c.lanes()),
+            AnyConv::Spline(c) => LaneKernel::Spline(c.lanes()),
+        }
+    }
+
     /// Batch forward with ReLU (caches for backward).
     pub fn forward(
         &mut self,
@@ -134,6 +142,67 @@ impl AnyConv {
         match self {
             AnyConv::Relational(c) => c.backward(graph, grad, ops),
             AnyConv::Spline(c) => c.backward(graph, grad, ops),
+        }
+    }
+}
+
+/// A frozen graph-convolution layer of either kernel family, in the form
+/// the streaming engine ([`crate::window::WindowedGnn`]) runs: weights
+/// transposed to `[in][out]`, a per-row neighbour projection the engine
+/// caches, and a lane-parallel node kernel that reads it. Matches
+/// [`AnyConv::node_forward`] bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) enum LaneKernel {
+    /// Linear relational kernel.
+    Relational(RelationalLanes),
+    /// B-spline kernel.
+    Spline(SplineLanes),
+}
+
+impl LaneKernel {
+    /// Output feature dimensionality.
+    pub(crate) fn out_dim(&self) -> usize {
+        match self {
+            LaneKernel::Relational(k) => k.out_dim(),
+            LaneKernel::Spline(k) => k.out_dim(),
+        }
+    }
+
+    /// Width of one cached projection row.
+    pub(crate) fn proj_dim(&self) -> usize {
+        match self {
+            LaneKernel::Relational(k) => k.proj_dim(),
+            LaneKernel::Spline(k) => k.proj_dim(),
+        }
+    }
+
+    /// Writes the neighbour projection of input row `h` into `q`
+    /// (`proj_dim` long).
+    pub(crate) fn project(&self, h: &[f32], q: &mut [f32], ops: &mut OpCount) {
+        match self {
+            LaneKernel::Relational(k) => k.project(h, q, ops),
+            LaneKernel::Spline(k) => k.project(h, q, ops),
+        }
+    }
+
+    /// Pre-activation message of node `i` from its input row `h_i` and the
+    /// cached projections `proj` (rows keyed like `graph`'s node handles);
+    /// writes `m[..out_dim]`, with `agg` as scratch (both at least
+    /// `out_dim` long).
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn node_forward<G: GraphView + ?Sized>(
+        &self,
+        graph: &G,
+        h_i: &[f32],
+        proj: &NodeFeatures,
+        i: usize,
+        m: &mut [f32],
+        agg: &mut [f32],
+        ops: &mut OpCount,
+    ) {
+        match self {
+            LaneKernel::Relational(k) => k.node_forward(graph, h_i, proj, i, m, agg, ops),
+            LaneKernel::Spline(k) => k.node_forward(graph, h_i, proj, i, m, agg, ops),
         }
     }
 }
@@ -393,6 +462,99 @@ mod tests {
             );
         }
         g
+    }
+
+    /// A random causal graph with isolated nodes, coincident events (zero
+    /// offsets) and offsets beyond the spline's clamp range.
+    fn random_graph(rng: &mut Rng64, n: usize) -> EventGraph {
+        let mut g = EventGraph::new(0.001);
+        let mut t = 0;
+        for i in 0..n {
+            t += rng.next_below(3_000);
+            let nbrs: Vec<u32> = if rng.bernoulli(0.3) {
+                Vec::new()
+            } else {
+                let mut v: Vec<u32> = (0..i as u32).filter(|_| rng.bernoulli(0.4)).collect();
+                v.truncate(6);
+                v
+            };
+            let pol = if rng.bernoulli(0.5) {
+                Polarity::On
+            } else {
+                Polarity::Off
+            };
+            let (x, y) = (rng.next_below(12) as u16, rng.next_below(12) as u16);
+            g.push_node(Event::new(t, x, y, pol), nbrs);
+        }
+        g
+    }
+
+    /// Features drawn from ±0.0 and random signed values.
+    fn random_features(rng: &mut Rng64, n: usize, dim: usize) -> NodeFeatures {
+        let mut f = NodeFeatures::zeros(n, dim);
+        for i in 0..n {
+            for v in f.row_mut(i) {
+                *v = match rng.next_index(4) {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => rng.next_f32() * 2.0 - 1.0,
+                };
+            }
+        }
+        f
+    }
+
+    #[test]
+    fn lane_kernel_matches_node_forward_bit_for_bit() {
+        let mut rng = Rng64::seed_from_u64(9);
+        for spline in [false, true] {
+            for in_dim in [1usize, 2, 16] {
+                for out_dim in [1usize, 5, 16] {
+                    let conv = if spline {
+                        AnyConv::Spline(SplineConv::new(
+                            in_dim,
+                            out_dim,
+                            3,
+                            [5.0, 5.0, 2.0],
+                            &mut rng,
+                        ))
+                    } else {
+                        AnyConv::Relational(GraphConv::new(in_dim, out_dim, &mut rng))
+                    };
+                    let lanes = conv.lanes();
+                    let n = 24;
+                    let g = random_graph(&mut rng, n);
+                    let input = random_features(&mut rng, n, in_dim);
+                    let mut ops = OpCount::new();
+                    let mut proj = NodeFeatures::zeros(n, lanes.proj_dim());
+                    for j in 0..n {
+                        lanes.project(input.row(j), proj.row_mut(j), &mut ops);
+                    }
+                    for i in 0..n {
+                        let want = match &conv {
+                            AnyConv::Relational(c) => {
+                                let (mut m, mut agg) = (vec![0.0; out_dim], vec![0.0; out_dim]);
+                                c.node_forward_into(&g, &input, i, &mut m, &mut agg, &mut ops);
+                                m
+                            }
+                            AnyConv::Spline(c) => c.node_forward(&g, &input, i, &mut ops),
+                        };
+                        // Oversized buffers full of garbage: the kernel
+                        // must overwrite exactly the first `out_dim`.
+                        let (mut m, mut agg) =
+                            (vec![f32::NAN; out_dim + 3], vec![f32::NAN; out_dim + 3]);
+                        lanes.node_forward(&g, input.row(i), &proj, i, &mut m, &mut agg, &mut ops);
+                        for (o, (got, want)) in m.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                got.to_bits(),
+                                want.to_bits(),
+                                "spline={spline} {in_dim}->{out_dim} node {i} lane {o}: {got} vs {want}"
+                            );
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! therefore represent non-monotone functions of the offset (e.g. oriented
 //! edge detectors in space-time), which a single linear map cannot.
 
+use crate::conv::{lane_affine, lane_matvec, transpose};
 use crate::graph::{EventGraph, GraphView};
 use evlab_tensor::init::he_normal;
 use evlab_tensor::layer::Param;
@@ -33,6 +34,130 @@ pub struct SplineConv {
 /// One corner of the interpolation support: flat kernel index and basis
 /// coefficient.
 type BasisEntry = (usize, f32);
+
+/// The nonzero interpolation corners of an edge offset, in corner order,
+/// without allocating: `(corners, count)`, valid in `corners[..count]`.
+fn corners(
+    kernel_size: usize,
+    offset_scale: [f32; 3],
+    offset: [f32; 3],
+) -> ([BasisEntry; 8], usize) {
+    let k = kernel_size;
+    let mut idx = [0usize; 3];
+    let mut frac = [0.0f32; 3];
+    for d in 0..3 {
+        // Normalize to [0, 1] then to the control-point grid.
+        let u = ((offset[d] / offset_scale[d]).clamp(-1.0, 1.0) + 1.0) / 2.0;
+        let pos = u * (k - 1) as f32;
+        let lo = (pos.floor() as usize).min(k - 2);
+        idx[d] = lo;
+        frac[d] = pos - lo as f32;
+    }
+    let mut out = [(0usize, 0.0f32); 8];
+    let mut n = 0;
+    for corner in 0..8usize {
+        let mut flat = 0usize;
+        let mut coeff = 1.0f32;
+        for d in 0..3 {
+            let hi = corner >> d & 1;
+            let i = idx[d] + hi;
+            coeff *= if hi == 1 { frac[d] } else { 1.0 - frac[d] };
+            flat = flat * k + i;
+        }
+        if coeff != 0.0 {
+            out[n] = (flat, coeff);
+            n += 1;
+        }
+    }
+    (out, n)
+}
+
+/// A frozen [`SplineConv`] in the streaming engine's form, with the self
+/// matrix and every control-point block transposed to `[in][out]`.
+///
+/// The cached projection of a row is all `K³` control-point blocks
+/// `W_k·h_j` ([`SplineLanes::project`]); the node kernel
+/// ([`SplineLanes::node_forward`]) then adds `(inv·coeff)·(W_k·h_j)` per
+/// interpolation corner, which is exactly what [`SplineConv::node_forward`]
+/// adds, in the same order — so the two agree bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct SplineLanes {
+    in_dim: usize,
+    out_dim: usize,
+    kernel_size: usize,
+    offset_scale: [f32; 3],
+    w_self_t: Vec<f32>,   // [in, out]
+    w_kernel_t: Vec<f32>, // [K*K*K, in, out]
+    bias: Vec<f32>,       // [out]
+}
+
+impl SplineLanes {
+    /// Output feature dimensionality.
+    pub(crate) fn out_dim(&self) -> usize {
+        self.out_dim
+    }
+
+    /// Width of one cached projection row: `K³` blocks of `out_dim`.
+    pub(crate) fn proj_dim(&self) -> usize {
+        self.kernel_size.pow(3) * self.out_dim
+    }
+
+    /// Writes every control-point block `W_k·h` into `q`, block `k` at
+    /// `q[k·out..(k+1)·out]`.
+    pub(crate) fn project(&self, h: &[f32], q: &mut [f32], ops: &mut OpCount) {
+        let stride = self.in_dim * self.out_dim;
+        for (w_t, qk) in self
+            .w_kernel_t
+            .chunks_exact(stride)
+            .zip(q.chunks_exact_mut(self.out_dim))
+        {
+            lane_matvec(w_t, h, qk);
+        }
+        let macs = (self.kernel_size.pow(3) * stride) as u64;
+        ops.record_mac(macs, macs);
+    }
+
+    /// The pre-activation message of node `i` from its input row `h_i` and
+    /// the cached projections of its in-neighbours; writes `m` (at least
+    /// `out_dim` long). `_agg` is unused: the spline kernel accumulates in
+    /// place, as [`SplineConv::node_forward`] does.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn node_forward<G: GraphView + ?Sized>(
+        &self,
+        graph: &G,
+        h_i: &[f32],
+        proj: &NodeFeatures,
+        i: usize,
+        m: &mut [f32],
+        _agg: &mut [f32],
+        ops: &mut OpCount,
+    ) {
+        let out = self.out_dim;
+        let m = &mut m[..out];
+        lane_affine(&self.w_self_t, &self.bias, h_i, m);
+        let macs = (out * self.in_dim) as u64;
+        ops.record_mac(macs, macs);
+        let nbrs = graph.in_neighbors(i);
+        if nbrs.is_empty() {
+            return;
+        }
+        let inv = 1.0 / nbrs.len() as f32;
+        let mut terms = 0u64;
+        for &j in nbrs {
+            let r = graph.relative_offset(i, j as usize);
+            let q = proj.row(j as usize);
+            let (corners, n) = corners(self.kernel_size, self.offset_scale, r);
+            for &(flat, coeff) in &corners[..n] {
+                let scale = inv * coeff;
+                for (mo, &p) in m.iter_mut().zip(&q[flat * out..(flat + 1) * out]) {
+                    *mo += scale * p;
+                }
+            }
+            terms += n as u64;
+        }
+        ops.record_mac(terms * out as u64, terms * out as u64);
+    }
+}
 
 impl SplineConv {
     /// Creates a layer with `kernel_size` control points per offset
@@ -88,32 +213,29 @@ impl SplineConv {
     /// The eight interpolation corners and their coefficients for an edge
     /// offset. Coefficients form a partition of unity.
     pub fn basis(&self, offset: [f32; 3]) -> Vec<BasisEntry> {
-        let k = self.kernel_size;
-        let mut idx = [0usize; 3];
-        let mut frac = [0.0f32; 3];
-        for d in 0..3 {
-            // Normalize to [0, 1] then to the control-point grid.
-            let u = ((offset[d] / self.offset_scale[d]).clamp(-1.0, 1.0) + 1.0) / 2.0;
-            let pos = u * (k - 1) as f32;
-            let lo = (pos.floor() as usize).min(k - 2);
-            idx[d] = lo;
-            frac[d] = pos - lo as f32;
+        let (corners, n) = corners(self.kernel_size, self.offset_scale, offset);
+        corners[..n].to_vec()
+    }
+
+    /// A frozen copy of the current weights in the streaming engine's
+    /// transposed form.
+    pub(crate) fn lanes(&self) -> SplineLanes {
+        let (i, o) = (self.in_dim, self.out_dim);
+        SplineLanes {
+            in_dim: i,
+            out_dim: o,
+            kernel_size: self.kernel_size,
+            offset_scale: self.offset_scale,
+            w_self_t: transpose(self.w_self.value.as_slice(), o, i),
+            w_kernel_t: self
+                .w_kernel
+                .value
+                .as_slice()
+                .chunks_exact(o * i)
+                .flat_map(|block| transpose(block, o, i))
+                .collect(),
+            bias: self.bias.value.as_slice().to_vec(),
         }
-        let mut out = Vec::with_capacity(8);
-        for corner in 0..8usize {
-            let mut flat = 0usize;
-            let mut coeff = 1.0f32;
-            for d in 0..3 {
-                let hi = corner >> d & 1;
-                let i = idx[d] + hi;
-                coeff *= if hi == 1 { frac[d] } else { 1.0 - frac[d] };
-                flat = flat * k + i;
-            }
-            if coeff != 0.0 {
-                out.push((flat, coeff));
-            }
-        }
-        out
     }
 
     /// Pre-activation message for one node (shared by batch and streaming

@@ -9,12 +9,24 @@
 //! * [`SlidingWindowGraph`] — a ring-buffer node store with **stable slot
 //!   handles**: evicted nodes are tombstoned and their slots reused, so
 //!   cached per-node features (keyed by slot id) survive every eviction.
-//!   A uniform-grid spatial index with per-cell FIFOs answers candidate
-//!   scans in O(1) expected work per event; no kd-tree is ever rebuilt.
+//!   A dense uniform grid answers candidate scans in O(1) expected work per
+//!   event; no kd-tree is ever rebuilt. Each bucket is a seq-ordered FIFO
+//!   threaded through a per-slot entry table that holds what a scan reads
+//!   (seq, event, cell) inline; out-edge lists are threaded through the
+//!   in-edge records the same way. With its scan buffers reused, a push
+//!   allocates nothing once the slot table has stopped growing.
 //! * [`WindowPolicy`] — age-based, count-based, or combined eviction.
 //! * [`WindowedGnn`] — incremental message passing on top of the store:
 //!   each push recomputes only the layer-by-layer frontier of nodes whose
-//!   neighbourhoods were touched by the insert and the evictions.
+//!   neighbourhoods were touched by the insert and the evictions. Per
+//!   layer it also caches every slot's neighbour projection (`W_nbr·h_j`,
+//!   or the spline kernel's `K³` blocks `W_k·h_j`), refreshed only when
+//!   that slot's input row changes, so an edge costs `out × 3` MACs
+//!   rather than `out × (in + 3)`. The projections are derived state —
+//!   never serialized, rebuilt on load, cleared on reset — and the
+//!   lane-parallel kernels that read them add the same `f32` terms in the
+//!   same order as [`crate::network::AnyConv::node_forward`], so the
+//!   logits are bit-identical to a plain frontier recompute.
 //!
 //! # The oracle contract
 //!
@@ -40,13 +52,13 @@
 use crate::build::{GraphBuilder, GraphConfig};
 use crate::conv::NodeFeatures;
 use crate::graph::{EventGraph, GraphView};
-use crate::network::GnnNetwork;
+use crate::network::{GnnNetwork, LaneKernel};
 use evlab_events::Event;
 use evlab_tensor::{OpCount, Tensor};
 use evlab_util::check::{self, Invariant, Report};
 use evlab_util::frame::{Decoder, Encoder, FrameError};
 use evlab_util::obs;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// Eviction policy bounding the live window.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -96,9 +108,74 @@ struct Slot {
     /// In-neighbours as slot ids, ascending by seq (oldest first) —
     /// matching the ascending-index lists of the batch builders.
     nbrs: Vec<u32>,
-    /// Live out-neighbours as `(seq, slot)` pairs, ascending by seq.
-    outs: Vec<(u64, u32)>,
+    /// `links[k]`: the slot after this one in `nbrs[k]`'s out-list
+    /// ([`NIL`] at its end). Out-lists are threaded through the in-edge
+    /// records, so they need no storage — and no allocation — of their
+    /// own: the store's size is fixed by the slot count and the degree
+    /// cap.
+    links: Vec<u32>,
+    /// First and last live out-neighbour ([`NIL`] when none) and their
+    /// count; the list between them ascends by seq.
+    out_head: u32,
+    out_tail: u32,
+    out_len: u32,
     live: bool,
+}
+
+impl Slot {
+    fn new(event: Event, seq: u64) -> Self {
+        Slot {
+            event,
+            seq,
+            nbrs: Vec::new(),
+            links: Vec::new(),
+            out_head: NIL,
+            out_tail: NIL,
+            out_len: 0,
+            live: false,
+        }
+    }
+
+    /// The slot after this one in in-neighbour `j`'s out-list.
+    fn link(&self, j: u32) -> u32 {
+        self.nbrs
+            .iter()
+            .position(|&n| n == j)
+            .map_or(NIL, |k| self.links[k])
+    }
+
+    fn set_link(&mut self, j: u32, next: u32) {
+        if let Some(k) = self.nbrs.iter().position(|&n| n == j) {
+            self.links[k] = next;
+        }
+    }
+}
+
+/// Out-edges of one slot as `(seq, slot)` pairs, ascending by seq: a walk
+/// along the out-list threaded through the out-neighbours' in-edge
+/// records.
+#[derive(Debug, Clone)]
+pub struct OutEdges<'a> {
+    slots: &'a [Slot],
+    of: u32,
+    at: u32,
+    left: u32,
+}
+
+impl Iterator for OutEdges<'_> {
+    type Item = (u64, u32);
+
+    fn next(&mut self) -> Option<(u64, u32)> {
+        // `left` bounds the walk, so even a corrupt link cannot loop.
+        if self.at == NIL || self.left == 0 {
+            return None;
+        }
+        let o = self.slots.get(self.at as usize)?;
+        let item = (o.seq, self.at);
+        self.at = o.link(self.of);
+        self.left -= 1;
+        Some(item)
+    }
 }
 
 /// What one [`SlidingWindowGraph::push`] did, for incremental feature
@@ -113,6 +190,149 @@ pub struct PushOutcome {
     /// Live slots whose neighbour lists were re-selected after the
     /// evictions, ascending by seq. Disjoint from `inserted`.
     pub reselected: Vec<u32>,
+}
+
+/// A connection candidate: `(slot, seq, dist²)`.
+type Candidate = (u32, u64, f64);
+
+/// Keeps the `k` nearest candidates and orders them by seq — the
+/// selection of `build::select_neighbors` over (distance, seq): nearest
+/// first, ties broken toward the more recent event. `(distance, seq)` is
+/// a total order (distances are finite, seqs unique), so the partial
+/// `select_nth_unstable_by` picks exactly the set a full sort would keep;
+/// only those few are then sorted. Seq order here corresponds one-to-one
+/// to index order in a batch build of the trailing window, so the two
+/// selections agree.
+fn select_nearest(candidates: &mut Vec<Candidate>, k: usize) {
+    if candidates.len() > k {
+        candidates.select_nth_unstable_by(k, |a, b| {
+            a.2.partial_cmp(&b.2)
+                .unwrap_or(std::cmp::Ordering::Equal) // distances are finite
+                .then(b.1.cmp(&a.1)) // tie: prefer the more recent event
+        });
+        candidates.truncate(k);
+    }
+    candidates.sort_unstable_by_key(|c| c.1);
+}
+
+/// "No slot": the end of a bucket list, or an empty bucket.
+const NIL: u32 = u32::MAX;
+/// Smallest grid side, in cells. At least 3, so the three columns (rows)
+/// of a 3×3 scan never fold onto one bucket.
+const GRID_MIN: usize = 4;
+/// Largest grid side, in cells. Sensors wider than this many cells fold
+/// onto the grid: buckets then mix cells, and scans skip the entries of
+/// foreign cells by their stored coordinates.
+const GRID_CAP: usize = 256;
+
+/// A node's entry in the spatial index: everything a candidate scan
+/// reads, stored inline so scans never touch the slot table, plus the
+/// link to the next-newer entry of the same bucket.
+#[derive(Debug, Clone, Copy)]
+struct CellEntry {
+    seq: u64,
+    event: Event,
+    /// The entry's own cell; filters foreign cells out of folded buckets.
+    cell: (u16, u16),
+    next: u32,
+}
+
+/// Uniform grid over `(x, y)` (cell side = the connection radius, at
+/// least 1 px). Each bucket is a FIFO of slot ids threaded through a
+/// per-slot entry table, oldest first: appends, evictions and scans move
+/// no memory and allocate nothing once the slot table has stopped
+/// growing. The grid grows in powers of two to cover the cells seen, up to
+/// [`GRID_CAP`] per side, relinking the live entries when it does.
+#[derive(Debug, Clone, Default)]
+struct CellGrid {
+    cols: usize,
+    rows: usize,
+    /// `(head, tail)` slot ids per bucket, [`NIL`] when empty.
+    buckets: Vec<(u32, u32)>,
+    /// Entry per slot id (stale for tombstoned slots).
+    entries: Vec<CellEntry>,
+}
+
+impl CellGrid {
+    /// The bucket holding `cell` (the grid must not be empty).
+    fn bucket_of(&self, cell: (u16, u16)) -> usize {
+        (cell.1 as usize & (self.rows - 1)) * self.cols + (cell.0 as usize & (self.cols - 1))
+    }
+
+    /// Grows the grid (up to the cap) so that `cell` has a bucket of its
+    /// own, relinking the `live` slots (seq-ascending) when it does.
+    fn cover(&mut self, cell: (u16, u16), live: impl Iterator<Item = u32>) {
+        let side = |have: usize, need: u16| {
+            if have >= GRID_CAP || (need as usize) < have {
+                have
+            } else {
+                (need as usize + 1)
+                    .next_power_of_two()
+                    .clamp(GRID_MIN, GRID_CAP)
+                    .max(have)
+            }
+        };
+        let (cols, rows) = (side(self.cols, cell.0), side(self.rows, cell.1));
+        if (cols, rows) == (self.cols, self.rows) {
+            return;
+        }
+        self.cols = cols;
+        self.rows = rows;
+        self.buckets.clear();
+        self.buckets.resize(cols * rows, (NIL, NIL));
+        for s in live {
+            self.link(s);
+        }
+    }
+
+    /// Records slot `s`'s entry and appends it as the newest of its bucket
+    /// (the grid must already cover its cell).
+    fn append(&mut self, s: u32, seq: u64, event: Event, cell: (u16, u16)) {
+        let entry = CellEntry {
+            seq,
+            event,
+            cell,
+            next: NIL,
+        };
+        match self.entries.get_mut(s as usize) {
+            Some(e) => *e = entry,
+            // Slots are appended in id order, except when a snapshot load
+            // indexes its live slots: pad with copies, overwritten later.
+            None => self.entries.resize(s as usize + 1, entry),
+        }
+        self.link(s);
+    }
+
+    fn link(&mut self, s: u32) {
+        self.entries[s as usize].next = NIL;
+        let b = self.bucket_of(self.entries[s as usize].cell);
+        let (head, tail) = self.buckets[b];
+        if head == NIL {
+            self.buckets[b] = (s, s);
+        } else {
+            self.entries[tail as usize].next = s;
+            self.buckets[b].1 = s;
+        }
+    }
+
+    /// Unlinks slot `s`, which must head its bucket — true of the globally
+    /// oldest live node, since every bucket is seq-ordered.
+    fn pop_front(&mut self, s: u32) {
+        let b = self.bucket_of(self.entries[s as usize].cell);
+        debug_assert_eq!(self.buckets[b].0, s, "oldest node must head its bucket");
+        let next = self.entries[s as usize].next;
+        self.buckets[b] = if next == NIL {
+            (NIL, NIL)
+        } else {
+            (next, self.buckets[b].1)
+        };
+    }
+
+    /// Empties every bucket, keeping the grid's size and allocations.
+    fn clear(&mut self) {
+        self.buckets.fill((NIL, NIL));
+        self.entries.clear();
+    }
 }
 
 /// Ring-buffer node store with a uniform-grid spatial index and
@@ -143,11 +363,14 @@ pub struct SlidingWindowGraph {
     order: VecDeque<u32>,
     /// Tombstoned slots awaiting reuse, FIFO for deterministic reuse.
     free: VecDeque<u32>,
-    /// Spatial cell → live slot ids, oldest first (per-cell FIFO).
-    cells: HashMap<(i32, i32), VecDeque<u32>>,
+    /// Spatial index: per-bucket FIFOs of the live slots, oldest first.
+    grid: CellGrid,
     cell_size: f64,
     next_seq: u64,
     last_t: Option<u64>,
+    /// Reused scan output and previous neighbour list (re-selection).
+    candidates: Vec<Candidate>,
+    old_nbrs: Vec<(u32, u32)>,
 }
 
 impl SlidingWindowGraph {
@@ -165,9 +388,11 @@ impl SlidingWindowGraph {
             slots: Vec::new(),
             order: VecDeque::new(),
             free: VecDeque::new(),
-            cells: HashMap::new(),
+            grid: CellGrid::default(),
             next_seq: 0,
             last_t: None,
+            candidates: Vec::new(),
+            old_nbrs: Vec::new(),
         }
     }
 
@@ -221,8 +446,65 @@ impl SlidingWindowGraph {
     /// # Panics
     ///
     /// Panics if `i` is out of range.
-    pub fn out_edges(&self, i: usize) -> &[(u64, u32)] {
-        &self.slots[i].outs
+    pub fn out_edges(&self, i: usize) -> OutEdges<'_> {
+        let sl = &self.slots[i];
+        OutEdges {
+            slots: &self.slots,
+            of: i as u32,
+            at: sl.out_head,
+            left: sl.out_len.min(self.slots.len() as u32),
+        }
+    }
+
+    /// Threads `i` into in-neighbour `j`'s out-list at its seq position
+    /// (`i` must already list `j`). New nodes are the newest, so the
+    /// insert path appends at the tail; re-selection may land mid-list.
+    fn out_insert(&mut self, j: u32, i: u32) {
+        let seq_i = self.slots[i as usize].seq;
+        let tail = self.slots[j as usize].out_tail;
+        let (mut prev, mut at) = if tail != NIL && self.slots[tail as usize].seq < seq_i {
+            (tail, NIL)
+        } else {
+            (NIL, self.slots[j as usize].out_head)
+        };
+        while at != NIL && self.slots[at as usize].seq < seq_i {
+            prev = at;
+            at = self.slots[at as usize].link(j);
+        }
+        self.slots[i as usize].set_link(j, at);
+        if prev == NIL {
+            self.slots[j as usize].out_head = i;
+        } else {
+            self.slots[prev as usize].set_link(j, i);
+        }
+        let sj = &mut self.slots[j as usize];
+        if at == NIL {
+            sj.out_tail = i;
+        }
+        sj.out_len += 1;
+    }
+
+    /// Unthreads `i` from in-neighbour `j`'s out-list (`i` must still
+    /// list `j`).
+    fn out_remove(&mut self, j: u32, i: u32) {
+        let next = self.slots[i as usize].link(j);
+        let mut prev = NIL;
+        let mut at = self.slots[j as usize].out_head;
+        while at != i && at != NIL {
+            prev = at;
+            at = self.slots[at as usize].link(j);
+        }
+        debug_assert_eq!(at, i, "slot {i} missing from {j}'s out-list");
+        if prev == NIL {
+            self.slots[j as usize].out_head = next;
+        } else {
+            self.slots[prev as usize].set_link(j, next);
+        }
+        let sj = &mut self.slots[j as usize];
+        if sj.out_tail == i {
+            sj.out_tail = prev;
+        }
+        sj.out_len -= 1;
     }
 
     /// Live slot ids in insertion (time) order, oldest first.
@@ -243,76 +525,70 @@ impl SlidingWindowGraph {
         self.slots.clear();
         self.order.clear();
         self.free.clear();
-        self.cells.clear();
+        self.grid.clear();
         self.next_seq = 0;
         self.last_t = None;
     }
 
-    fn cell_of(&self, e: &Event) -> (i32, i32) {
+    /// The grid cell of an event. Coordinates are `u16` and the cell side
+    /// is at least 1 px, so both indices fit a `u16`.
+    fn cell_of(&self, e: &Event) -> (u16, u16) {
         (
-            (e.x as f64 / self.cell_size).floor() as i32,
-            (e.y as f64 / self.cell_size).floor() as i32,
+            (e.x as f64 / self.cell_size).floor() as u16,
+            (e.y as f64 / self.cell_size).floor() as u16,
         )
     }
 
     /// Scans the 3×3 cell neighbourhood of `event` for connection
     /// candidates strictly older than `seq_limit`, applying the horizon
-    /// and radius filters. Returns `(slot, seq, dist²)` triples in
-    /// deterministic cell-then-FIFO order.
-    fn scan_candidates(
-        &self,
-        event: &Event,
-        seq_limit: u64,
-        ops: &mut OpCount,
-    ) -> Vec<(u32, u64, f64)> {
+    /// and radius filters, into `self.candidates` as `(slot, seq, dist²)`
+    /// triples in deterministic bucket-then-FIFO order.
+    fn scan_candidates(&mut self, event: &Event, seq_limit: u64, ops: &mut OpCount) {
         let p = self.config.point_of(event);
         let r_sq = self.config.radius * self.config.radius;
         let (cx, cy) = self.cell_of(event);
-        let mut candidates = Vec::new();
+        self.candidates.clear();
+        if self.grid.buckets.is_empty() {
+            return; // nothing indexed yet
+        }
         for dy in -1..=1 {
             for dx in -1..=1 {
-                let Some(list) = self.cells.get(&(cx + dx, cy + dy)) else {
+                // Cells outside the u16 range hold no event.
+                let (Ok(nx), Ok(ny)) =
+                    (u16::try_from(cx as i32 + dx), u16::try_from(cy as i32 + dy))
+                else {
                     continue;
                 };
-                for &s in list {
-                    let slot = &self.slots[s as usize];
-                    if slot.seq >= seq_limit {
-                        // Cell FIFOs are seq-ordered: everything after
-                        // this entry is newer still.
+                let cell = (nx, ny);
+                let mut s = self.grid.buckets[self.grid.bucket_of(cell)].0;
+                while s != NIL {
+                    let e = &self.grid.entries[s as usize];
+                    if e.seq >= seq_limit {
+                        // Buckets are seq-ordered: everything after this
+                        // entry is newer still.
                         break;
+                    }
+                    let slot = s;
+                    s = e.next;
+                    if e.cell != cell {
+                        continue; // another cell folded onto this bucket
                     }
                     ops.record_mult(4);
                     ops.record_compare(2);
-                    if event.t.saturating_since(slot.event.t) > self.config.horizon_us {
+                    if event.t.saturating_since(e.event.t) > self.config.horizon_us {
                         continue;
                     }
-                    let d = crate::build::dist_sq(&self.config.point_of(&slot.event), &p);
+                    let d = crate::build::dist_sq(&self.config.point_of(&e.event), &p);
                     if d <= r_sq {
-                        candidates.push((s, slot.seq, d));
+                        self.candidates.push((slot, e.seq, d));
                     }
                 }
             }
         }
-        candidates
-    }
-
-    /// Mirror of `build::select_neighbors` over (distance, seq): nearest
-    /// first, ties broken toward the more recent event, result ascending
-    /// by seq. Seq order here corresponds one-to-one to index order in a
-    /// batch build of the trailing window, so the two selections agree.
-    fn select(mut candidates: Vec<(u32, u64, f64)>, max_degree: usize) -> Vec<u32> {
-        candidates.sort_by(|a, b| {
-            a.2.partial_cmp(&b.2)
-                .unwrap_or(std::cmp::Ordering::Equal) // distances are finite
-                .then(b.1.cmp(&a.1)) // tie: prefer the more recent event
-        });
-        candidates.truncate(max_degree);
-        candidates.sort_by_key(|c| c.1);
-        candidates.into_iter().map(|(s, _, _)| s).collect()
     }
 
     /// Evicts the globally oldest live node: removes it from the order
-    /// ring and its cell FIFO, scrubs it from every out-neighbour's list
+    /// ring and its bucket FIFO, scrubs it from every out-neighbour's list
     /// (collecting those into `touched` for re-selection), tombstones the
     /// slot, and recycles it.
     fn evict_front(&mut self, evicted: &mut Vec<u32>, touched: &mut Vec<u32>) {
@@ -320,29 +596,29 @@ impl SlidingWindowGraph {
             return;
         };
         let slot = s as usize;
-        // The oldest live node is necessarily at the front of its cell's
-        // FIFO (cell lists are appended in seq order).
-        let cell = self.cell_of(&self.slots[slot].event);
-        if let Some(list) = self.cells.get_mut(&cell) {
-            let front = list.pop_front();
-            debug_assert_eq!(front, Some(s), "oldest node must head its cell FIFO");
-            if list.is_empty() {
-                self.cells.remove(&cell);
-            }
-        }
+        self.grid.pop_front(s);
         // All of this node's in-neighbours are older, hence already
         // evicted and already scrubbed from this list.
         debug_assert!(self.slots[slot].nbrs.is_empty(), "stale in-edges at eviction");
-        let outs = std::mem::take(&mut self.slots[slot].outs);
-        for &(_, o) in &outs {
-            let nb = &mut self.slots[o as usize].nbrs;
-            if let Some(pos) = nb.iter().position(|&x| x == s) {
-                nb.remove(pos);
+        let mut o = self.slots[slot].out_head;
+        while o != NIL {
+            let nb = &mut self.slots[o as usize];
+            let k = nb.nbrs.iter().position(|&x| x == s);
+            let next = k.map_or(NIL, |k| nb.links[k]);
+            if let Some(k) = k {
+                nb.nbrs.remove(k);
+                nb.links.remove(k);
             }
             touched.push(o);
+            o = next;
         }
-        self.slots[slot].nbrs.clear();
-        self.slots[slot].live = false;
+        let sl = &mut self.slots[slot];
+        sl.out_head = NIL;
+        sl.out_tail = NIL;
+        sl.out_len = 0;
+        sl.nbrs.clear();
+        sl.links.clear();
+        sl.live = false;
         self.free.push_back(s);
         evicted.push(s);
     }
@@ -354,21 +630,34 @@ impl SlidingWindowGraph {
         let slot = i as usize;
         let event = self.slots[slot].event;
         let seq_i = self.slots[slot].seq;
-        let candidates = self.scan_candidates(&event, seq_i, ops);
-        let new_nbrs = Self::select(candidates, self.config.max_degree);
-        let old = std::mem::replace(&mut self.slots[slot].nbrs, new_nbrs);
-        // Diff the (tiny, ≤ max_degree) lists to keep out-edges exact.
-        let new_ref = self.slots[slot].nbrs.clone();
-        for &j in &old {
-            if !new_ref.contains(&j) {
-                self.slots[j as usize].outs.retain(|&(_, o)| o != i);
+        self.scan_candidates(&event, seq_i, ops);
+        select_nearest(&mut self.candidates, self.config.max_degree);
+        // Diff the (tiny, ≤ max_degree) lists to keep out-edges exact:
+        // unthread `i` from the neighbours it drops (while it still lists
+        // them), rewrite its list keeping the links of the neighbours it
+        // keeps, then thread it into the neighbours it gains.
+        let sl = &self.slots[slot];
+        self.old_nbrs.clear();
+        self.old_nbrs
+            .extend(sl.nbrs.iter().copied().zip(sl.links.iter().copied()));
+        for k in 0..self.old_nbrs.len() {
+            let j = self.old_nbrs[k].0;
+            if !self.candidates.iter().any(|c| c.0 == j) {
+                self.out_remove(j, i);
             }
         }
-        for &j in &new_ref {
-            if !old.contains(&j) {
-                let outs = &mut self.slots[j as usize].outs;
-                let pos = outs.partition_point(|&(sq, _)| sq < seq_i);
-                outs.insert(pos, (seq_i, i));
+        let sl = &mut self.slots[slot];
+        sl.nbrs.clear();
+        sl.links.clear();
+        for &(j, _, _) in &self.candidates {
+            let kept = self.old_nbrs.iter().find(|&&(n, _)| n == j);
+            sl.nbrs.push(j);
+            sl.links.push(kept.map_or(NIL, |&(_, link)| link));
+        }
+        for k in 0..self.candidates.len() {
+            let j = self.candidates[k].0;
+            if !self.old_nbrs.iter().any(|&(n, _)| n == j) {
+                self.out_insert(j, i);
             }
         }
         obs::counter_add("gnn.window.reselects", 1);
@@ -382,19 +671,29 @@ impl SlidingWindowGraph {
     ///
     /// Panics if the event is older than the previous push.
     pub fn push(&mut self, event: Event, ops: &mut OpCount) -> PushOutcome {
+        let mut outcome = PushOutcome::default();
+        self.push_into(event, ops, &mut outcome);
+        outcome
+    }
+
+    /// [`SlidingWindowGraph::push`] into a caller-owned outcome, whose
+    /// lists are cleared and refilled: with the window's own reused scan
+    /// buffers, a push allocates nothing once the slot table, the grid
+    /// and the per-slot lists have reached their steady sizes.
+    pub(crate) fn push_into(&mut self, event: Event, ops: &mut OpCount, out: &mut PushOutcome) {
         let t = event.t.as_micros();
         if let Some(last) = self.last_t {
             assert!(t >= last, "events must arrive in time order");
         }
         self.last_t = Some(t);
 
-        let mut evicted = Vec::new();
-        let mut touched: Vec<u32> = Vec::new();
+        out.evicted.clear();
+        out.reselected.clear();
         // 1. Age bound relative to the incoming event.
         if let Some(age) = self.policy.max_age_us() {
             while let Some(&oldest) = self.order.front() {
                 if event.t.saturating_since(self.slots[oldest as usize].event.t) > age {
-                    self.evict_front(&mut evicted, &mut touched);
+                    self.evict_front(&mut out.evicted, &mut out.reselected);
                 } else {
                     break;
                 }
@@ -403,32 +702,28 @@ impl SlidingWindowGraph {
         // 2. Count bound: make room for the insert.
         let cap = self.policy.max_nodes();
         while self.order.len() >= cap {
-            self.evict_front(&mut evicted, &mut touched);
+            self.evict_front(&mut out.evicted, &mut out.reselected);
         }
         // 3. Repair the survivors whose lists lost an evicted neighbour —
         //    after *all* evictions, so re-selection never sees a node that
         //    this same push is about to remove.
-        touched.retain(|&i| self.slots[i as usize].live);
-        touched.sort_by_key(|&i| self.slots[i as usize].seq);
-        touched.dedup();
-        for &i in &touched {
+        let slots = &self.slots;
+        out.reselected.retain(|&i| slots[i as usize].live);
+        out.reselected
+            .sort_unstable_by_key(|&i| slots[i as usize].seq);
+        out.reselected.dedup();
+        for &i in &out.reselected {
             self.reselect(i, ops);
         }
         // 4. Insert and connect the new node.
         let seq = self.next_seq;
         self.next_seq += 1;
-        let candidates = self.scan_candidates(&event, seq, ops);
-        let nbrs = Self::select(candidates, self.config.max_degree);
+        self.scan_candidates(&event, seq, ops);
+        select_nearest(&mut self.candidates, self.config.max_degree);
         let s = match self.free.pop_front() {
             Some(s) => s,
             None => {
-                self.slots.push(Slot {
-                    event,
-                    seq,
-                    nbrs: Vec::new(),
-                    outs: Vec::new(),
-                    live: false,
-                });
+                self.slots.push(Slot::new(event, seq));
                 (self.slots.len() - 1) as u32
             }
         };
@@ -437,26 +732,25 @@ impl SlidingWindowGraph {
             sl.event = event;
             sl.seq = seq;
             sl.nbrs.clear();
-            sl.nbrs.extend_from_slice(&nbrs);
-            sl.outs.clear();
+            sl.nbrs.extend(self.candidates.iter().map(|c| c.0));
+            sl.links.clear();
+            sl.links.resize(sl.nbrs.len(), NIL);
             sl.live = true;
         }
-        for &j in &nbrs {
-            // The new node has the maximum seq: appending keeps the
-            // out-edge lists sorted.
-            self.slots[j as usize].outs.push((seq, s));
+        for k in 0..self.candidates.len() {
+            // The new node has the maximum seq: it joins each out-list at
+            // the tail.
+            self.out_insert(self.candidates[k].0, s);
         }
+        let cell = self.cell_of(&event);
+        self.grid.cover(cell, self.order.iter().copied());
+        self.grid.append(s, seq, event, cell);
         self.order.push_back(s);
-        self.cells.entry(self.cell_of(&event)).or_default().push_back(s);
         ops.record_write(1);
         obs::counter_add("gnn.window.inserts", 1);
-        obs::counter_add("gnn.window.evictions", evicted.len() as u64);
+        obs::counter_add("gnn.window.evictions", out.evicted.len() as u64);
         check::run(self);
-        PushOutcome {
-            inserted: s,
-            evicted,
-            reselected: touched,
-        }
+        out.inserted = s;
     }
 
     /// Serializes the full window state — slot table (events, seqs,
@@ -469,15 +763,15 @@ impl SlidingWindowGraph {
     /// [`SlidingWindowGraph::load_state`].
     pub fn save_state(&self, enc: &mut Encoder) {
         enc.put_u64(self.slots.len() as u64);
-        for s in &self.slots {
+        for (i, s) in self.slots.iter().enumerate() {
             enc.put_u64(s.event.t.as_micros());
             enc.put_u16(s.event.x);
             enc.put_u16(s.event.y);
             enc.put_bool(s.event.polarity == evlab_events::Polarity::On);
             enc.put_u64(s.seq);
             enc.put_u32_slice(&s.nbrs);
-            enc.put_u64(s.outs.len() as u64);
-            for &(sq, o) in &s.outs {
+            enc.put_u64(s.out_len as u64);
+            for (sq, o) in self.out_edges(i) {
                 enc.put_u64(sq);
                 enc.put_u32(o);
             }
@@ -506,6 +800,9 @@ impl SlidingWindowGraph {
             return Err(dec.corrupt(format!("{n} slots exceed the payload")));
         }
         let mut slots = Vec::with_capacity(n);
+        // The recorded out-lists: the store threads its own from the
+        // in-lists, and the two must agree.
+        let mut recorded_outs = Vec::with_capacity(n);
         for _ in 0..n {
             let t = dec.take_u64()?;
             let x = dec.take_u16()?;
@@ -524,41 +821,43 @@ impl SlidingWindowGraph {
                 outs.push((sq, o));
             }
             let live = dec.take_bool()?;
-            slots.push(Slot {
-                event: Event::new(
-                    t,
-                    x,
-                    y,
-                    if on {
-                        evlab_events::Polarity::On
-                    } else {
-                        evlab_events::Polarity::Off
-                    },
-                ),
-                seq,
-                nbrs,
-                outs,
-                live,
-            });
+            let polarity = if on {
+                evlab_events::Polarity::On
+            } else {
+                evlab_events::Polarity::Off
+            };
+            let mut slot = Slot::new(Event::new(t, x, y, polarity), seq);
+            slot.links = vec![NIL; nbrs.len()];
+            slot.nbrs = nbrs;
+            slot.live = live;
+            slots.push(slot);
+            recorded_outs.push(outs);
         }
         let order = dec.take_u32_vec()?;
         let free = dec.take_u32_vec()?;
         let next_seq = dec.take_u64()?;
         let last_t = dec.take_opt_u64()?;
         let in_range = |i: u32| (i as usize) < slots.len();
-        for s in &slots {
-            if !s.nbrs.iter().copied().all(in_range)
-                || !s.outs.iter().all(|&(_, o)| in_range(o))
-            {
+        for (s, outs) in slots.iter().zip(&recorded_outs) {
+            if !s.nbrs.iter().copied().all(in_range) || !outs.iter().all(|&(_, o)| in_range(o)) {
                 return Err(dec.corrupt("edge references a slot outside the table"));
             }
         }
         if !order.iter().copied().all(in_range) || !free.iter().copied().all(in_range) {
             return Err(dec.corrupt("order/free list references a slot outside the table"));
         }
+        // Threading repeats no (node, neighbour) pair only if the live
+        // order and every in-list strictly ascend by seq.
+        let ascending = |ids: &[u32]| {
+            ids.windows(2)
+                .all(|w| slots[w[0] as usize].seq < slots[w[1] as usize].seq)
+        };
+        if !ascending(&order) || !slots.iter().all(|s| ascending(&s.nbrs)) {
+            return Err(dec.corrupt("live order or an in-edge list is not strictly seq-ascending"));
+        }
         // Assemble a candidate, rebuilding the spatial index from the
         // live order (`order` ascends by seq, so appending reproduces the
-        // seq-sorted cell FIFOs the live push path maintains), then hold
+        // seq-sorted bucket FIFOs the live push path maintains), then hold
         // it to the full window invariants before committing: a
         // checksum-passing but semantically corrupt snapshot must surface
         // as a typed error with the window left untouched.
@@ -568,15 +867,35 @@ impl SlidingWindowGraph {
             slots,
             order: order.into_iter().collect(),
             free: free.into_iter().collect(),
-            cells: HashMap::new(),
+            grid: CellGrid::default(),
             cell_size: self.cell_size,
             next_seq,
             last_t,
+            candidates: Vec::new(),
+            old_nbrs: Vec::new(),
         };
-        let live_order: Vec<u32> = candidate.order.iter().copied().collect();
-        for s in live_order {
-            let cell = candidate.cell_of(&candidate.slots[s as usize].event);
-            candidate.cells.entry(cell).or_default().push_back(s);
+        for idx in 0..candidate.order.len() {
+            let i = candidate.order[idx];
+            let (seq, event) = (
+                candidate.slots[i as usize].seq,
+                candidate.slots[i as usize].event,
+            );
+            let cell = candidate.cell_of(&event);
+            candidate
+                .grid
+                .cover(cell, candidate.order.range(..idx).copied());
+            candidate.grid.append(i, seq, event, cell);
+            for k in 0..candidate.slots[i as usize].nbrs.len() {
+                let j = candidate.slots[i as usize].nbrs[k];
+                candidate.out_insert(j, i);
+            }
+        }
+        for (i, outs) in recorded_outs.iter().enumerate() {
+            if !candidate.out_edges(i).eq(outs.iter().copied()) {
+                return Err(dec.corrupt(format!(
+                    "slot {i} out-edges disagree with the in-edge lists"
+                )));
+            }
         }
         if let Some(violation) = check::verify(&candidate).into_iter().next() {
             return Err(dec.corrupt(format!("snapshot violates invariant: {violation}")));
@@ -637,6 +956,7 @@ impl Invariant for SlidingWindowGraph {
         }
         let in_range = |i: u32| (i as usize) < self.slots.len();
         let mut prev_seq: Option<u64> = None;
+        let (mut in_edges, mut out_edges) = (0usize, 0usize);
         for &s in &self.order {
             if !in_range(s) {
                 r.require(false, || format!("order entry {s} out of range"));
@@ -663,8 +983,9 @@ impl Invariant for SlidingWindowGraph {
             r.require(sl.nbrs.len() <= self.config.max_degree, || {
                 format!("slot {s} holds {} in-edges, cap {}", sl.nbrs.len(), self.config.max_degree)
             });
-            // In-neighbours: live, strictly older, seq-ascending, and
-            // mirrored by the neighbour's out-edge list.
+            // In-neighbours: live, strictly older, seq-ascending (so
+            // duplicate-free).
+            in_edges += sl.nbrs.len();
             let mut prev_nbr: Option<u64> = None;
             for &j in &sl.nbrs {
                 if !in_range(j) {
@@ -680,19 +1001,24 @@ impl Invariant for SlidingWindowGraph {
                     format!("slot {s} in-edges not strictly seq-ascending")
                 });
                 prev_nbr = Some(nb.seq);
-                r.require(nb.outs.iter().any(|&(sq, o)| sq == sl.seq && o == s), || {
-                    format!("slot {s} in-edge to {j} lacks the mirror out-edge")
-                });
             }
-            // Out-edges: live newer nodes, seq-ascending, mirrored.
+            r.require(sl.links.len() == sl.nbrs.len(), || {
+                format!(
+                    "slot {s} has {} links for {} in-edges",
+                    sl.links.len(),
+                    sl.nbrs.len()
+                )
+            });
+            // Out-edges: live newer nodes, seq-ascending (so duplicate-free),
+            // each mirrored by an in-edge, with a consistent tail and count.
             let mut prev_out: Option<u64> = None;
-            for &(sq, o) in &sl.outs {
-                if !in_range(o) {
-                    r.require(false, || format!("slot {s} out-edge {o} out of range"));
-                    continue;
-                }
+            let (mut walked, mut last) = (0u32, NIL);
+            for (sq, o) in self.out_edges(s as usize) {
+                walked += 1;
+                out_edges += 1;
+                last = o;
                 let ob = &self.slots[o as usize];
-                r.require(ob.live && ob.seq == sq && sq > sl.seq, || {
+                r.require(ob.live && sq > sl.seq, || {
                     format!("slot {s} out-edge ({sq}, {o}) is stale")
                 });
                 r.require(prev_out.is_none_or(|p| p < sq), || {
@@ -703,7 +1029,18 @@ impl Invariant for SlidingWindowGraph {
                     format!("slot {s} out-edge to {o} lacks the mirror in-edge")
                 });
             }
+            r.require(walked == sl.out_len && last == sl.out_tail, || {
+                format!(
+                    "slot {s} out-list walks {walked} entries to {last}, records {} to {}",
+                    sl.out_len, sl.out_tail
+                )
+            });
         }
+        // Every out-edge mirrors a distinct in-edge; equal totals then
+        // mean every in-edge is mirrored by an out-edge too.
+        r.require(in_edges == out_edges, || {
+            format!("{in_edges} in-edges but {out_edges} out-edges among live nodes")
+        });
         for &s in &self.free {
             if !in_range(s) {
                 r.require(false, || format!("free entry {s} out of range"));
@@ -711,32 +1048,52 @@ impl Invariant for SlidingWindowGraph {
             }
             let sl = &self.slots[s as usize];
             r.require(!sl.live, || format!("free entry {s} is still live"));
-            r.require(sl.nbrs.is_empty() && sl.outs.is_empty(), || {
+            r.require(sl.nbrs.is_empty() && sl.out_len == 0 && sl.out_head == NIL, || {
                 format!("tombstoned slot {s} kept stale edges")
             });
         }
-        // Spatial index: per-cell FIFOs hold exactly the live set, each
-        // id under its own cell key, oldest first.
+        // Spatial index: the bucket FIFOs hold exactly the live set, each
+        // entry a faithful copy of its slot, filed under its own cell's
+        // bucket, oldest first.
+        let g = &self.grid;
+        r.require(g.buckets.len() == g.cols * g.rows, || {
+            format!(
+                "{} buckets for a {}x{} grid",
+                g.buckets.len(),
+                g.cols,
+                g.rows
+            )
+        });
         let mut indexed = 0usize;
-        for (key, list) in &self.cells {
+        for (b, &(head, tail)) in g.buckets.iter().enumerate() {
             let mut prev: Option<u64> = None;
-            for &s in list {
+            let mut last = NIL;
+            let mut s = head;
+            // Bounded walk: a corrupt link cannot loop forever.
+            while s != NIL && indexed <= self.slots.len() {
                 indexed += 1;
-                if !in_range(s) {
-                    r.require(false, || format!("cell entry {s} out of range"));
-                    continue;
+                if !in_range(s) || s as usize >= g.entries.len() {
+                    r.require(false, || format!("bucket {b} entry {s} out of range"));
+                    break;
                 }
-                let sl = &self.slots[s as usize];
-                r.require(sl.live, || format!("cell {key:?} indexes tombstoned {s}"));
-                r.require(self.cell_of(&sl.event) == *key, || {
-                    format!("slot {s} filed under the wrong cell {key:?}")
+                let (e, sl) = (&g.entries[s as usize], &self.slots[s as usize]);
+                r.require(sl.live, || format!("bucket {b} indexes tombstoned {s}"));
+                r.require(e.seq == sl.seq && e.event == sl.event, || {
+                    format!("bucket {b} entry {s} disagrees with its slot")
                 });
-                r.require(prev.is_none_or(|p| p < sl.seq), || {
-                    format!("cell {key:?} FIFO not seq-ascending")
+                r.require(e.cell == self.cell_of(&sl.event) && g.bucket_of(e.cell) == b, || {
+                    format!("slot {s} filed under the wrong bucket {b}")
                 });
-                prev = Some(sl.seq);
+                r.require(prev.is_none_or(|p| p < e.seq), || {
+                    format!("bucket {b} FIFO not seq-ascending")
+                });
+                prev = Some(e.seq);
+                last = s;
+                s = e.next;
             }
-            r.require(!list.is_empty(), || format!("empty cell {key:?} not pruned"));
+            r.require(tail == last, || {
+                format!("bucket {b} tail {tail} is not its last entry {last}")
+            });
         }
         r.require(indexed == self.order.len(), || {
             format!("{indexed} indexed ids != {} live nodes", self.order.len())
@@ -836,21 +1193,55 @@ impl GraphBuilder for WindowedGraphBuilder {
 /// * frontierₗ₊₁ = frontierₗ ∪ out-neighbours(frontierₗ) (a layer-`l`
 ///   change propagates exactly one hop along out-edges per layer).
 ///
+/// Each layer also caches, per slot, the neighbour projection of the
+/// slot's input row (`W_nbr·h_j`, or the `K³` control-point blocks
+/// `W_k·h_j` of the spline kernel). A projection is refreshed only when
+/// its input row changes — the inserted node at layer 0, the nodes of
+/// frontierₗ₋₁ at layer `l` — so an edge costs `out × 3` MACs instead of
+/// `out × (in + 3)`. The projections are derived state: they are rebuilt
+/// from the restored rows on [`WindowedGnn::load_state`] and never
+/// serialized. The frozen layers run a lane-parallel kernel over
+/// transposed weights that reproduces [`crate::network::AnyConv::node_forward`]
+/// bit for bit, so the logits equal those of a plain frontier recompute.
+///
 /// The running mean-pool is kept as an f64 sum: evicted rows are
 /// subtracted, recomputed rows swapped, so pooling stays O(classes) per
 /// event regardless of window size.
 #[derive(Clone)]
 pub struct WindowedGnn {
     net: GnnNetwork,
+    /// The network's conv layers in streaming form (transposed weights).
+    kernels: Vec<LaneKernel>,
     graph: SlidingWindowGraph,
     /// Polarity input features, row per slot.
     input_features: NodeFeatures,
     /// Cached per-layer node features, rows per slot.
     layer_features: Vec<NodeFeatures>,
+    /// Cached per-layer neighbour projections of each slot's input row,
+    /// rows per slot (derived from the feature rows; not serialized).
+    projections: Vec<NodeFeatures>,
     /// Running sum of live final-layer rows (f64 so long streams of
     /// add/subtract pairs cannot drift the pool).
     pool_sum: Vec<f64>,
     classes: usize,
+    scratch: UpdateScratch,
+}
+
+/// Buffers [`WindowedGnn::update`] reuses across events, so that once
+/// they have grown to their steady sizes the only allocation per event is
+/// the returned logits tensor.
+#[derive(Debug, Clone, Default)]
+struct UpdateScratch {
+    outcome: PushOutcome,
+    /// Frontiers as `(seq, slot)`, ascending by seq: the previous layer's
+    /// (whose rows feed this layer's projections), the current one, and
+    /// the next one under construction.
+    prev: Vec<(u64, u32)>,
+    cur: Vec<(u64, u32)>,
+    next: Vec<(u64, u32)>,
+    row: Vec<f32>,
+    agg: Vec<f32>,
+    pooled: Vec<f32>,
 }
 
 impl WindowedGnn {
@@ -862,17 +1253,32 @@ impl WindowedGnn {
         policy: WindowPolicy,
         classes: usize,
     ) -> Self {
-        let dims: Vec<usize> = net.convs().iter().map(|c| c.out_dim()).collect();
-        let last = *dims
+        let kernels: Vec<LaneKernel> = net.convs().iter().map(|c| c.lanes()).collect();
+        let last = kernels
             .last()
-            .unwrap_or_else(|| panic!("at least one conv layer"));
+            .unwrap_or_else(|| panic!("at least one conv layer"))
+            .out_dim();
+        let widest = kernels.iter().map(LaneKernel::out_dim).max().unwrap_or(0);
         WindowedGnn {
             graph: SlidingWindowGraph::new(config, policy),
             input_features: NodeFeatures::zeros(0, 2),
-            layer_features: dims.iter().map(|&d| NodeFeatures::zeros(0, d)).collect(),
+            layer_features: kernels
+                .iter()
+                .map(|k| NodeFeatures::zeros(0, k.out_dim()))
+                .collect(),
+            projections: kernels
+                .iter()
+                .map(|k| NodeFeatures::zeros(0, k.proj_dim()))
+                .collect(),
+            kernels,
             pool_sum: vec![0.0; last],
             net,
             classes,
+            scratch: UpdateScratch {
+                row: vec![0.0; widest],
+                agg: vec![0.0; widest],
+                ..UpdateScratch::default()
+            },
         }
     }
 
@@ -891,14 +1297,15 @@ impl WindowedGnn {
         &self.net
     }
 
-    /// Drops all window state (nodes, cached features, pooled sum) while
-    /// keeping the trained weights — session start, not memory bounding:
-    /// steady-state memory is bounded by the eviction policy alone.
+    /// Drops all window state (nodes, cached features and projections,
+    /// pooled sum) while keeping the trained weights and the allocations
+    /// — session start, not memory bounding: steady-state memory is
+    /// bounded by the eviction policy alone.
     pub fn reset(&mut self) {
         self.graph.clear();
-        self.input_features = NodeFeatures::zeros(0, 2);
-        for f in &mut self.layer_features {
-            *f = NodeFeatures::zeros(0, f.dim());
+        self.input_features.resize_nodes(0);
+        for f in self.layer_features.iter_mut().chain(&mut self.projections) {
+            f.resize_nodes(0);
         }
         for s in &mut self.pool_sum {
             *s = 0.0;
@@ -910,7 +1317,8 @@ impl WindowedGnn {
     /// accumulator (exact bit pattern — the pool is history-dependent, so
     /// recomputing it from the restored rows would *not* reproduce the
     /// pre-crash bits). The trained network is a construction input and
-    /// is not recorded.
+    /// is not recorded, and neither are the neighbour projections: they
+    /// are a pure function of the feature rows.
     pub fn save_state(&self, enc: &mut Encoder) {
         self.graph.save_state(enc);
         save_features(&self.input_features, enc);
@@ -922,16 +1330,31 @@ impl WindowedGnn {
     }
 
     /// Restores state written by [`WindowedGnn::save_state`] into an
-    /// identically-constructed engine, bit-exactly.
+    /// identically-constructed engine, bit-exactly, and rebuilds the
+    /// neighbour projections from the restored rows.
     ///
     /// # Errors
     ///
-    /// Returns [`FrameError`] on truncation, corruption, or shapes that
-    /// do not match this engine's layer dimensions.
+    /// Returns [`FrameError`] on truncation, corruption, shapes that do
+    /// not match this engine's layer dimensions, or feature caches whose
+    /// row count differs from the restored window's slot count; the
+    /// engine is left untouched then.
     pub fn load_state(&mut self, dec: &mut Decoder) -> Result<(), FrameError> {
         let mut graph = self.graph.clone();
         graph.load_state(dec)?;
+        let slots = graph.slot_count();
+        let rows_match = |f: &NodeFeatures, what: &str, dec: &Decoder| {
+            if f.nodes() == slots {
+                Ok(())
+            } else {
+                Err(dec.corrupt(format!(
+                    "{what} holds {} rows for {slots} window slots",
+                    f.nodes()
+                )))
+            }
+        };
         let input_features = load_features(2, dec)?;
+        rows_match(&input_features, "input feature cache", dec)?;
         let layers = dec.take_u64()? as usize;
         if layers != self.layer_features.len() {
             return Err(dec.corrupt(format!(
@@ -940,8 +1363,10 @@ impl WindowedGnn {
             )));
         }
         let mut layer_features = Vec::with_capacity(layers);
-        for f in &self.layer_features {
-            layer_features.push(load_features(f.dim(), dec)?);
+        for (l, f) in self.layer_features.iter().enumerate() {
+            let loaded = load_features(f.dim(), dec)?;
+            rows_match(&loaded, &format!("layer {l} feature cache"), dec)?;
+            layer_features.push(loaded);
         }
         let pool_sum = dec.take_f64_vec()?;
         if pool_sum.len() != self.pool_sum.len() {
@@ -951,96 +1376,143 @@ impl WindowedGnn {
                 self.pool_sum.len()
             )));
         }
+        let mut ops = OpCount::new();
+        let projections = self
+            .kernels
+            .iter()
+            .enumerate()
+            .map(|(l, k)| {
+                let input = if l == 0 {
+                    &input_features
+                } else {
+                    &layer_features[l - 1]
+                };
+                let mut proj = NodeFeatures::zeros(slots, k.proj_dim());
+                for j in 0..slots {
+                    k.project(input.row(j), proj.row_mut(j), &mut ops);
+                }
+                proj
+            })
+            .collect();
         self.graph = graph;
         self.input_features = input_features;
         self.layer_features = layer_features;
+        self.projections = projections;
         self.pool_sum = pool_sum;
         Ok(())
     }
 
     /// Processes one event and returns the updated class logits.
     pub fn update(&mut self, event: Event, ops: &mut OpCount) -> Tensor {
-        let outcome = self.graph.push(event, ops);
+        let s = &mut self.scratch;
+        self.graph.push_into(event, ops, &mut s.outcome);
         let last = self.layer_features.len() - 1;
         // Evicted rows leave the pool before anything is recomputed.
-        for &e in &outcome.evicted {
+        for &e in &s.outcome.evicted {
             if (e as usize) < self.layer_features[last].nodes() {
                 let row = self.layer_features[last].row(e as usize);
-                for (s, &v) in self.pool_sum.iter_mut().zip(row) {
-                    *s -= v as f64;
+                for (p, &v) in self.pool_sum.iter_mut().zip(row) {
+                    *p -= v as f64;
                 }
             }
         }
-        ops.record_add((outcome.evicted.len() * self.pool_sum.len()) as u64);
-        // Feature caches are slot-indexed; grow them with the slot table.
+        ops.record_add((s.outcome.evicted.len() * self.pool_sum.len()) as u64);
+        // Feature and projection caches are slot-indexed; grow them with
+        // the slot table.
         let slots = self.graph.slot_count();
         self.input_features.resize_nodes(slots);
-        for f in &mut self.layer_features {
+        for f in self.layer_features.iter_mut().chain(&mut self.projections) {
             f.resize_nodes(slots);
         }
-        let inserted = outcome.inserted;
+        let inserted = s.outcome.inserted;
         let feat = self.graph.node_features(inserted as usize);
         self.input_features
             .row_mut(inserted as usize)
             .copy_from_slice(&feat);
 
         // Frontier as (seq, slot), ascending by seq; the inserted node has
-        // the maximum seq, so appending keeps the order.
-        let mut frontier: Vec<(u64, u32)> = outcome
-            .reselected
-            .iter()
-            .map(|&s| (self.graph.seq(s as usize), s))
-            .collect();
-        frontier.push((self.graph.seq(inserted as usize), inserted));
+        // the maximum seq, so appending keeps the order. At layer 0 only
+        // the inserted node's input row changed.
+        let ins = (self.graph.seq(inserted as usize), inserted);
+        s.cur.clear();
+        s.cur.extend(
+            s.outcome
+                .reselected
+                .iter()
+                .map(|&r| (self.graph.seq(r as usize), r)),
+        );
+        s.cur.push(ins);
+        s.prev.clear();
+        s.prev.push(ins);
         let mut recomputed = 0u64;
         for l in 0..=last {
-            recomputed += frontier.len() as u64;
-            for &(_, fi) in &frontier {
+            let (done, rest) = self.layer_features.split_at_mut(l);
+            let input = if l == 0 {
+                &self.input_features
+            } else {
+                &done[l - 1]
+            };
+            let output = &mut rest[0];
+            let kernel = &self.kernels[l];
+            let proj = &mut self.projections[l];
+            // Refresh the projections of the rows this layer's input
+            // changed in, before any frontier node reads them.
+            for &(_, j) in &s.prev {
+                kernel.project(input.row(j as usize), proj.row_mut(j as usize), ops);
+            }
+            recomputed += s.cur.len() as u64;
+            let width = kernel.out_dim();
+            for &(_, fi) in &s.cur {
                 let idx = fi as usize;
-                let mut row = {
-                    let prev = if l == 0 {
-                        &self.input_features
-                    } else {
-                        &self.layer_features[l - 1]
-                    };
-                    self.net.convs()[l].node_forward(&self.graph, prev, idx, ops)
-                };
-                for v in &mut row {
+                kernel.node_forward(
+                    &self.graph,
+                    input.row(idx),
+                    proj,
+                    idx,
+                    &mut s.row,
+                    &mut s.agg,
+                    ops,
+                );
+                let row = &mut s.row[..width];
+                for v in row.iter_mut() {
                     *v = v.max(0.0);
                 }
                 if l == last {
                     // Swap this node's contribution in the running pool.
-                    let old = self.layer_features[last].row(idx);
                     if fi != inserted {
-                        for (s, &v) in self.pool_sum.iter_mut().zip(old) {
-                            *s -= v as f64;
+                        for (p, &v) in self.pool_sum.iter_mut().zip(output.row(idx)) {
+                            *p -= v as f64;
                         }
                     }
-                    for (s, &v) in self.pool_sum.iter_mut().zip(&row) {
-                        *s += v as f64;
+                    for (p, &v) in self.pool_sum.iter_mut().zip(row.iter()) {
+                        *p += v as f64;
                     }
                     ops.record_add(2 * self.pool_sum.len() as u64);
                 }
-                self.layer_features[l].row_mut(idx).copy_from_slice(&row);
+                output.row_mut(idx).copy_from_slice(row);
             }
             if l < last {
                 // One-hop propagation: out-neighbours inherit the change.
-                let mut next = frontier.clone();
-                for &(_, fi) in &frontier {
-                    next.extend_from_slice(self.graph.out_edges(fi as usize));
+                s.next.clear();
+                s.next.extend_from_slice(&s.cur);
+                for &(_, fi) in &s.cur {
+                    s.next.extend(self.graph.out_edges(fi as usize));
                 }
-                next.sort_by_key(|&(sq, _)| sq);
-                next.dedup();
-                frontier = next;
+                s.next.sort_unstable_by_key(|&(sq, _)| sq);
+                s.next.dedup();
+                std::mem::swap(&mut s.prev, &mut s.cur);
+                std::mem::swap(&mut s.cur, &mut s.next);
             }
         }
         obs::counter_add("gnn.window.updates", 1);
         obs::counter_add("gnn.window.recomputed_rows", recomputed);
 
         let n = self.graph.node_count() as f64;
-        let pooled: Vec<f32> = self.pool_sum.iter().map(|&s| (s / n) as f32).collect();
-        ops.record_mult(pooled.len() as u64);
-        let logits = self.net.head_logits(&pooled, ops);
+        s.pooled.clear();
+        s.pooled
+            .extend(self.pool_sum.iter().map(|&p| (p / n) as f32));
+        ops.record_mult(s.pooled.len() as u64);
+        let logits = self.net.head_logits(&s.pooled, ops);
         Tensor::from_vec(&[self.classes], logits)
             .unwrap_or_else(|e| panic!("logit shape: {e}"))
     }
@@ -1177,6 +1649,29 @@ mod tests {
         let live = trailing(&events, policy);
         let oracle = kdtree_build(&live, &config, &mut OpCount::new());
         assert_graphs_identical(&w.to_event_graph(), &oracle, "coincident");
+    }
+
+    #[test]
+    fn folded_grid_matches_fresh_rebuild() {
+        // 1 px cells over a 1200 px sensor: the grid stops growing at
+        // GRID_CAP cells a side and folds, so buckets mix cells.
+        let events = random_events(900, 1_200, 90_000, 13);
+        let mut config = GraphConfig::new().with_radius(1.0).with_max_degree(3);
+        config.horizon_us = 1_000_000;
+        let policy = WindowPolicy::MaxNodes(400);
+        let mut w = SlidingWindowGraph::new(config, policy);
+        let mut ops = OpCount::new();
+        for e in &events {
+            w.push(*e, &mut ops);
+        }
+        assert_eq!(
+            (w.grid.cols, w.grid.rows),
+            (GRID_CAP, GRID_CAP),
+            "grid folded"
+        );
+        assert!(check::verify(&w).is_empty(), "folded grid invariants");
+        let oracle = kdtree_build(&trailing(&events, policy), &config, &mut OpCount::new());
+        assert_graphs_identical(&w.to_event_graph(), &oracle, "folded grid");
     }
 
     #[test]
@@ -1351,6 +1846,171 @@ mod tests {
         );
         let mut other = WindowedGnn::new(other_net, config, policy, 3);
         assert!(other.load_state(&mut Decoder::new(&bytes)).is_err());
+    }
+
+    /// The selection `select_nearest` replaces: full sort by (distance,
+    /// seq desc), truncate, sort by seq.
+    fn select_by_full_sort(mut c: Vec<Candidate>, k: usize) -> Vec<Candidate> {
+        c.sort_by(|a, b| {
+            a.2.partial_cmp(&b.2)
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then(b.1.cmp(&a.1))
+        });
+        c.truncate(k);
+        c.sort_by_key(|c| c.1);
+        c
+    }
+
+    #[test]
+    fn partial_top_k_matches_full_sort_on_tied_distances() {
+        let mut rng = Rng64::seed_from_u64(31);
+        for case in 0..500 {
+            let n = rng.next_index(40);
+            // Few distinct distances: most candidates tie with others.
+            let dists = [0.0, 1.0, 2.0, 2.0, 4.0, 25.0];
+            let mut seqs: Vec<u64> = (0..n as u64 * 3).collect();
+            rng.shuffle(&mut seqs);
+            let cands: Vec<Candidate> = (0..n)
+                .map(|i| (i as u32, seqs[i], dists[rng.next_index(dists.len())]))
+                .collect();
+            for k in [0, 1, 2, 4, 8, 16, 64] {
+                let mut got = cands.clone();
+                select_nearest(&mut got, k);
+                assert_eq!(
+                    got,
+                    select_by_full_sort(cands.clone(), k),
+                    "case {case} k={k}"
+                );
+            }
+        }
+    }
+
+    fn make_engine(spline: bool, policy: WindowPolicy) -> WindowedGnn {
+        let mut config = GnnConfig::new(3).with_hidden(vec![5, 7]);
+        if spline {
+            config = config.with_spline_kernel(3);
+        }
+        let net = GnnNetwork::new(&config, &mut Rng64::seed_from_u64(1));
+        WindowedGnn::new(net, GraphConfig::new(), policy, 3)
+    }
+
+    fn logit_bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn state_bytes(engine: &WindowedGnn) -> Vec<u8> {
+        let mut enc = Encoder::new();
+        engine.save_state(&mut enc);
+        enc.into_bytes()
+    }
+
+    #[test]
+    fn restored_engine_with_a_served_past_continues_bit_identically() {
+        // The subject has served a different stream, so every cached
+        // projection it holds is stale for the restored window: unless
+        // load rebuilds them, its logits diverge from the oracle's.
+        let events = random_events(300, 24, 60_000, 41);
+        let other = random_events(200, 24, 40_000, 42);
+        for spline in [false, true] {
+            for policy in [WindowPolicy::MaxNodes(40), WindowPolicy::MaxAgeUs(9_000)] {
+                let mut oracle = make_engine(spline, policy);
+                let mut subject = make_engine(spline, policy);
+                let mut ops = OpCount::new();
+                for e in &events[..150] {
+                    oracle.update(*e, &mut ops);
+                }
+                for e in &other {
+                    subject.update(*e, &mut ops);
+                }
+                let bytes = state_bytes(&oracle);
+                subject
+                    .load_state(&mut Decoder::new(&bytes))
+                    .expect("valid state");
+                for (i, e) in events[150..].iter().enumerate() {
+                    let (a, b) = (oracle.update(*e, &mut ops), subject.update(*e, &mut ops));
+                    assert_eq!(
+                        logit_bits(&a),
+                        logit_bits(&b),
+                        "spline={spline} {policy:?} event {i}"
+                    );
+                }
+                assert_eq!(state_bytes(&oracle), state_bytes(&subject));
+            }
+        }
+    }
+
+    #[test]
+    fn reset_engine_replays_like_a_fresh_one() {
+        let first = random_events(250, 24, 50_000, 43);
+        let second = random_events(250, 24, 50_000, 44);
+        for spline in [false, true] {
+            let policy = WindowPolicy::Both {
+                max_nodes: 48,
+                max_age_us: 12_000,
+            };
+            let mut reused = make_engine(spline, policy);
+            let mut fresh = make_engine(spline, policy);
+            let mut ops = OpCount::new();
+            for e in &first {
+                reused.update(*e, &mut ops);
+            }
+            reused.reset();
+            assert_eq!(
+                state_bytes(&reused),
+                state_bytes(&fresh),
+                "spline={spline}: reset state"
+            );
+            for (i, e) in second.iter().enumerate() {
+                let (a, b) = (reused.update(*e, &mut ops), fresh.update(*e, &mut ops));
+                assert_eq!(logit_bits(&a), logit_bits(&b), "spline={spline} event {i}");
+            }
+            assert_eq!(state_bytes(&reused), state_bytes(&fresh));
+        }
+    }
+
+    #[test]
+    fn engine_load_rejects_feature_caches_that_miss_window_slots() {
+        // A valid 16-slot window whose feature caches hold the wrong row
+        // count is impossible; it must fail typed and leave the engine
+        // untouched, not read zero rows (too few) or panic later.
+        let policy = WindowPolicy::MaxNodes(16);
+        let mut source = make_engine(false, policy);
+        let mut ops = OpCount::new();
+        for e in &random_events(40, 24, 8_000, 45) {
+            source.update(*e, &mut ops);
+        }
+        assert_eq!(source.graph().slot_count(), 16);
+        for rows in [0usize, 15, 17] {
+            let put_cache = |enc: &mut Encoder, dim: usize| {
+                enc.put_u64(rows as u64);
+                for _ in 0..rows * dim {
+                    enc.put_f32(0.5);
+                }
+            };
+            let mut enc = Encoder::new();
+            source.graph().save_state(&mut enc);
+            put_cache(&mut enc, 2);
+            enc.put_u64(source.layer_features.len() as u64);
+            for f in &source.layer_features {
+                put_cache(&mut enc, f.dim());
+            }
+            enc.put_f64_slice(&source.pool_sum);
+            let bytes = enc.into_bytes();
+            let mut victim = make_engine(false, policy);
+            for e in &random_events(30, 24, 6_000, 46) {
+                victim.update(*e, &mut ops);
+            }
+            let before = state_bytes(&victim);
+            assert!(
+                victim.load_state(&mut Decoder::new(&bytes)).is_err(),
+                "{rows} feature rows for 16 slots loaded"
+            );
+            assert_eq!(
+                state_bytes(&victim),
+                before,
+                "failed load touched the engine"
+            );
+        }
     }
 
     #[test]

@@ -20,8 +20,10 @@
 #      disagree. This run is built with `--features count-alloc`, which
 #      installs the counting global allocator: the binary additionally
 #      fails if any instrumented workload's steady-state allocation
-#      count exceeds the committed BENCH_alloc_budget.json (all zeros —
-#      the per-worker arena contract must hold at every thread count);
+#      count exceeds the committed BENCH_alloc_budget.json (all zeros for
+#      the kernels — the per-worker arena contract must hold at every
+#      thread count — and, for the streaming GNN engine `gnn_stream`, the
+#      returned logits tensor alone: two heap blocks per update);
 #   6. a smoke run of `serve_bench` (4 concurrent sessions per paradigm,
 #      16-deep queues under 64-event bursts) — the binary exits non-zero
 #      unless load was actually shed AND decisions kept flowing, which is
@@ -114,11 +116,13 @@ cargo run -q --release --offline -p evlab-bench --bin obs_check -- \
     --require tensor.conv.im2col_chunks \
     "$metrics"
 
-echo "==> obs_check: sliding-window counters nonzero (inserts, evictions, reselects)"
+echo "==> obs_check: sliding-window counters nonzero (inserts, evictions, streaming GNN updates and recomputed rows)"
 cargo run -q --release --offline -p evlab-bench --bin obs_check -- \
     --require 'gnn.window.*' \
     --require gnn.window.inserts \
     --require gnn.window.evictions \
+    --require gnn.window.updates \
+    --require gnn.window.recomputed_rows \
     "$metrics"
 
 echo "==> serve_bench smoke (4 sessions/paradigm, forced overload, obs on)"
