@@ -3,7 +3,7 @@
 //! Drives seeded random operation sequences through the workspace's core
 //! data paths and cross-checks every naive implementation against its
 //! optimized counterpart, with `evlab_util::check` invariants forced on
-//! so contract drift panics at the corrupting operation. Seven targets:
+//! so contract drift panics at the corrupting operation. Eight targets:
 //!
 //! * `graph_builders` — naive vs kd-tree vs incremental vs sliding-window
 //!   graph construction over random event streams and configs.
@@ -28,6 +28,14 @@
 //!   policies, widths and both edge kernels: logits bit-identical at
 //!   every event, and the final logits within 1e-3 of a batch forward
 //!   over the compacted window.
+//! * `conv` — the direct conv2d forward and the im2col + GEMM backward vs
+//!   their naive nests at `EVLAB_THREADS` 1 and 4, over random shapes
+//!   (1–12 in and 1–20 out channels, kernels 1–5, strides 1–3, padding
+//!   below the kernel) and inputs with exact `+0.0`/`-0.0` entries and
+//!   all-zero channels: forward bits, effective-MAC counts and the three
+//!   accumulated gradients bit-identical. Weights are finite and no bias
+//!   is `-0.0`: the kernels include zero products that the naive forward
+//!   skips, which differs in exactly those two cases (`gemm` module docs).
 //!
 //! Every case is a pure function of `(target, seed, size)`: a mismatch
 //! report names all three, and the lab shrinks the failing size by
@@ -48,7 +56,10 @@ use evlab_gnn::conv::NodeFeatures;
 use evlab_gnn::graph::{EventGraph, GraphView};
 use evlab_gnn::network::{GnnConfig, GnnNetwork};
 use evlab_gnn::window::{SlidingWindowGraph, WindowPolicy, WindowedGnn};
-use evlab_tensor::gemm::{gemm_into, gemm_naive_into};
+use evlab_tensor::gemm::{
+    conv2d_backward, conv2d_backward_naive, conv2d_forward, conv2d_forward_naive, gemm_into,
+    gemm_naive_into, ConvShape,
+};
 use evlab_tensor::scratch::Scratch;
 use evlab_tensor::OpCount;
 use evlab_util::fault::{FaultInjector, FaultSpec, RawEvent};
@@ -76,6 +87,7 @@ const TARGETS: &[Target] = &[
     Target { name: "reorder_model", full_size: 500, smoke_size: 80, run: reorder_model },
     Target { name: "json_roundtrip", full_size: 48, smoke_size: 16, run: json_roundtrip },
     Target { name: "gnn_stream", full_size: 300, smoke_size: 80, run: gnn_stream },
+    Target { name: "conv", full_size: 64, smoke_size: 24, run: conv },
 ];
 
 // ---------------------------------------------------------------------
@@ -717,6 +729,104 @@ fn json_roundtrip(seed: u64, size: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// The first element where two float slices differ in bits.
+fn first_bit_diff(what: &str, want: &[f32], got: &[f32]) -> Result<(), String> {
+    match want
+        .iter()
+        .zip(got)
+        .position(|(w, g)| w.to_bits() != g.to_bits())
+    {
+        Some(i) => Err(format!(
+            "{what}[{i}]: naive {:?} vs kernel {:?}",
+            want[i], got[i]
+        )),
+        None => Ok(()),
+    }
+}
+
+/// The conv2d kernels vs their naive nests: a random shape with input
+/// sides up to `size`, inputs holding exact `±0.0` entries and all-zero
+/// channels, finite weights and no `-0.0` bias (the domain where the
+/// kernels' included zero products equal the naive forward's skip).
+/// Forward bits and effective counts, then the three gradients
+/// accumulated onto random initial values, at 1 and 4 threads.
+fn conv(seed: u64, size: usize) -> Result<(), String> {
+    let mut rng = Rng64::seed_from_u64(seed ^ 0x636F_6E76);
+    let kernel = 1 + rng.next_index(5);
+    let padding = rng.next_index(kernel);
+    let min_side = kernel.saturating_sub(2 * padding).max(1);
+    let side = |rng: &mut Rng64| min_side + rng.next_index(size.max(min_side) - min_side + 1);
+    let s = ConvShape {
+        in_channels: 1 + rng.next_index(12),
+        out_channels: 1 + rng.next_index(20),
+        kernel,
+        stride: 1 + rng.next_index(3),
+        padding,
+        in_h: side(&mut rng),
+        in_w: side(&mut rng),
+    };
+    let (oh, ow) = s.out_hw();
+    let plane = s.in_h * s.in_w;
+    let mut x = Vec::with_capacity(s.in_channels * plane);
+    for _ in 0..s.in_channels {
+        let dead = rng.bernoulli(0.2);
+        for _ in 0..plane {
+            let u = rng.next_f64();
+            x.push(if dead || u < 0.3 {
+                if rng.bernoulli(0.5) {
+                    0.0
+                } else {
+                    -0.0
+                }
+            } else {
+                rng.next_f32() * 2.0 - 1.0
+            });
+        }
+    }
+    let fill = |rng: &mut Rng64, len: usize, zero: f64| -> Vec<f32> {
+        (0..len)
+            .map(|_| {
+                if rng.bernoulli(zero) {
+                    0.0
+                } else {
+                    rng.next_f32() * 2.0 - 1.0
+                }
+            })
+            .collect()
+    };
+    let w = fill(&mut rng, s.out_channels * s.col_rows(), 0.1);
+    let bias = fill(&mut rng, s.out_channels, 0.2);
+    let g = fill(&mut rng, s.out_channels * oh * ow, 0.2);
+    let gi0 = fill(&mut rng, x.len(), 0.0);
+    let gw0 = fill(&mut rng, w.len(), 0.0);
+    let gb0 = fill(&mut rng, bias.len(), 0.0);
+    let mut out_want = vec![0.0f32; g.len()];
+    let eff_want = conv2d_forward_naive(&s, &x, &w, &bias, &mut out_want);
+    let (mut gi_want, mut gw_want, mut gb_want) = (gi0.clone(), gw0.clone(), gb0.clone());
+    conv2d_backward_naive(&s, &x, &w, &g, &mut gi_want, &mut gw_want, &mut gb_want);
+    for nthreads in [1usize, 4] {
+        let what = |part: &str| format!("{s:?} threads={nthreads} {part}");
+        par::with_threads(nthreads, || {
+            let mut scratch = Scratch::new();
+            let mut out = vec![f32::NAN; g.len()];
+            let eff = conv2d_forward(&s, &x, &w, &bias, &mut out, &mut scratch);
+            first_bit_diff(&what("out"), &out_want, &out)?;
+            if eff != eff_want {
+                return Err(format!(
+                    "{}: naive {eff_want} vs kernel {eff}",
+                    what("effective MACs")
+                ));
+            }
+            let (mut gi, mut gw, mut gb) = (gi0.clone(), gw0.clone(), gb0.clone());
+            conv2d_backward(&s, &x, &w, &g, &mut gi, &mut gw, &mut gb, &mut scratch);
+            first_bit_diff(&what("gi"), &gi_want, &gi)?;
+            first_bit_diff(&what("gw"), &gw_want, &gw)?;
+            first_bit_diff(&what("gb"), &gb_want, &gb)
+        })?;
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------
@@ -941,6 +1051,14 @@ mod tests {
             gnn_stream(seed, 120).expect("gnn_stream case");
         }
         check::clear_override();
+    }
+
+    /// The conv kernels agree with their naive nests on a few seeds.
+    #[test]
+    fn conv_matches_the_naive_nests_on_a_few_seeds() {
+        for seed in 0..16 {
+            conv(seed, 16).expect("conv case");
+        }
     }
 
     /// The committed corpus must parse and reference only known targets.

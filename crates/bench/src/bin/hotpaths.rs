@@ -1,7 +1,7 @@
 //! Std-only throughput benchmark for the parallelized hot paths (camera
 //! simulation, frame encoding, LIF stepping, graph construction), the
 //! streaming GNN engine (`gnn_stream`: sliding window plus incremental
-//! message passing, one event at a time) and the dense kernels (blocked GEMM, im2col conv2d, the arena-backed CNN
+//! message passing, one event at a time) and the dense kernels (blocked GEMM, direct conv2d, the arena-backed CNN
 //! training step) — the kernels are themselves panel/batch-parallel now,
 //! so they sweep thread counts like every other workload.
 //!
@@ -418,8 +418,8 @@ fn gemm_default_threads_pass(scale: &Scale) {
 
 /// The table1 dense-CNN conv layers: conv1 (2→8 over 32×32, sparse event
 /// frame) and conv2 (8→16 over 16×16, dense mid-network activations),
-/// both 3×3 stride-1 pad-1. `blocked` picks im2col+GEMM vs the naive
-/// zero-skipping nest; the checksums must agree bit for bit.
+/// both 3×3 stride-1 pad-1. `blocked` picks the direct tile kernel vs
+/// the naive zero-skipping nest; the checksums must agree bit for bit.
 fn conv_workload(scale: &Scale, blocked: bool) -> (u64, u64) {
     let s1 = ConvShape {
         in_channels: 2,

@@ -112,7 +112,9 @@ pub trait OnlineClassifier {
     /// # Errors
     ///
     /// Returns an error if the event is older than a previously pushed one
-    /// — sessions require per-session timestamp order.
+    /// — sessions require per-session timestamp order — or, for the
+    /// frame-indexed SNN and CNN sessions, if it lies outside
+    /// [`OnlineConfig::resolution`]. A rejected event changes no state.
     fn push_event(&mut self, event: Event, ops: &mut OpCount) -> Result<(), EvlabError>;
 
     /// Takes the newest decision produced since the last poll, if any.
@@ -230,6 +232,26 @@ impl OrderGuard {
     fn reset(&mut self) {
         self.last_t = None;
     }
+}
+
+/// Rejects an event outside the sensor resolution a frame-indexed session
+/// was built for: its pixel index would wrap into another pixel or run
+/// past the session's buffers.
+fn check_in_bounds(event: &Event, resolution: (u16, u16)) -> Result<(), EvlabError> {
+    if event.x >= resolution.0 || event.y >= resolution.1 {
+        return Err(out_of_bounds(event, resolution));
+    }
+    Ok(())
+}
+
+/// The error for [`check_in_bounds`], kept off the per-event path.
+#[cold]
+#[inline(never)]
+fn out_of_bounds(event: &Event, resolution: (u16, u16)) -> EvlabError {
+    EvlabError::serve(format!(
+        "event at ({}, {}) outside the {}x{} session resolution",
+        event.x, event.y, resolution.0, resolution.1
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -370,6 +392,7 @@ pub struct SnnOnline {
     downsample: u16,
     dt_us: u64,
     steps: usize,
+    resolution: (u16, u16),
     out_res: (u16, u16),
     /// Per-block last-forwarded timestamp (dead time = one dt, matching
     /// [`SnnPipeline::encode`]).
@@ -415,6 +438,7 @@ impl SnnOnline {
             downsample: config.downsample,
             dt_us: config.dt_us,
             steps: config.steps,
+            resolution,
             out_res: (dw, dh),
             block_last: vec![None; dw as usize * dh as usize],
             t0: None,
@@ -443,6 +467,7 @@ impl OnlineClassifier for SnnOnline {
     }
 
     fn push_event(&mut self, event: Event, ops: &mut OpCount) -> Result<(), EvlabError> {
+        check_in_bounds(&event, self.resolution)?;
         let t = event.t.as_micros();
         self.order.check(t)?;
         self.events_since += 1;
@@ -667,6 +692,7 @@ impl OnlineClassifier for CnnOnline {
     }
 
     fn push_event(&mut self, event: Event, ops: &mut OpCount) -> Result<(), EvlabError> {
+        check_in_bounds(&event, self.resolution)?;
         let t = event.t.as_micros();
         self.order.check(t)?;
         self.events_since += 1;
@@ -1161,6 +1187,97 @@ mod tests {
             .push_event(Event::new(500, 1, 1, Polarity::On), &mut ops)
             .unwrap_err();
         assert!(err.to_string().contains("out-of-order"));
+    }
+
+    /// Flushes `session` and returns the decision's logits as bits.
+    fn flushed_bits(session: &mut dyn OnlineClassifier) -> Vec<u32> {
+        let mut ops = OpCount::new();
+        let decision = session.flush(&mut ops).expect("flush").expect("decision");
+        decision.logits.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn cnn_online_rejects_events_outside_its_resolution() {
+        let data = tiny_data();
+        assert_eq!(data.resolution, (16, 16));
+        let mut pipe = CnnPipeline::new(CnnPipelineConfig::new().with_epochs(1).with_seed(1));
+        pipe.fit(&data);
+        let config = OnlineConfig::new(data.resolution).with_window_us(u64::MAX);
+        let make = || {
+            let mut s = CnnOnline::with_config(&pipe, &config).expect("trained");
+            s.begin_session();
+            s
+        };
+        let mut ops = OpCount::new();
+        let on = |t, x, y| Event::new(t, x, y, Polarity::On);
+        let mut reference = make();
+        reference
+            .push_event(on(10, 1, 2), &mut ops)
+            .expect("in range");
+        reference
+            .push_event(on(30, 4, 4), &mut ops)
+            .expect("in range");
+        // (20, 3) would wrap onto the frame index of (4, 4); (31, 31)
+        // would index past the 16×16 frame when the window flushes.
+        let mut session = make();
+        session
+            .push_event(on(10, 1, 2), &mut ops)
+            .expect("in range");
+        for (x, y) in [(20, 3), (31, 31), (16, 0), (0, 16)] {
+            let err = session.push_event(on(40, x, y), &mut ops).unwrap_err();
+            assert!(err.to_string().contains("outside the 16x16"), "{err}");
+        }
+        // The rejected events moved neither the order guard nor the
+        // window: an event older than them is still accepted, and the
+        // decision equals the one that never saw them.
+        session
+            .push_event(on(30, 4, 4), &mut ops)
+            .expect("in range");
+        assert_eq!(flushed_bits(&mut session), flushed_bits(&mut reference));
+    }
+
+    #[test]
+    fn snn_online_rejects_events_outside_its_resolution() {
+        let data = tiny_data();
+        let mut pipe = SnnPipeline::new(SnnPipelineConfig::new().with_epochs(1).with_seed(1));
+        pipe.fit(&data);
+        let config = OnlineConfig::new(data.resolution);
+        let make = || {
+            let mut s = SnnOnline::with_config(&pipe, &config).expect("trained");
+            s.begin_session();
+            s
+        };
+        let mut ops = OpCount::new();
+        let on = |t, x, y| Event::new(t, x, y, Polarity::On);
+        let mut reference = make();
+        reference
+            .push_event(on(10, 3, 3), &mut ops)
+            .expect("in range");
+        let mut session = make();
+        session
+            .push_event(on(10, 3, 3), &mut ops)
+            .expect("in range");
+        // (200, 200) would index past the per-block dead-time table.
+        for (x, y) in [(200, 200), (16, 3), (3, 16)] {
+            let err = session.push_event(on(50, x, y), &mut ops).unwrap_err();
+            assert!(err.to_string().contains("outside the 16x16"), "{err}");
+        }
+        assert!(
+            session.poll_decision().is_some(),
+            "the in-range event decided"
+        );
+        assert!(
+            session.poll_decision().is_none(),
+            "rejected events decide nothing"
+        );
+        reference.poll_decision();
+        session
+            .push_event(on(20, 5, 5), &mut ops)
+            .expect("in range");
+        reference
+            .push_event(on(20, 5, 5), &mut ops)
+            .expect("in range");
+        assert_eq!(flushed_bits(&mut session), flushed_bits(&mut reference));
     }
 
     /// Pushes half the stream, snapshots, restores into `fresh`, then runs

@@ -454,6 +454,53 @@ mod tests {
     }
 
     #[test]
+    fn undersized_classifier_fails_its_session_typed() {
+        use evlab_core::cnn_pipeline::{CnnPipeline, CnnPipelineConfig};
+        use evlab_core::online::{OnlineConfig, SessionBuilder};
+        use evlab_core::EventClassifier;
+        use evlab_datasets::{shapes::shape_silhouettes, DatasetConfig};
+        obs::set_enabled(true);
+        let errors_before = obs::counter_value("serve.session.errors");
+        let data = shape_silhouettes(&DatasetConfig::tiny((16, 16)));
+        let mut pipe = CnnPipeline::new(CnnPipelineConfig::new().with_epochs(1).with_seed(1));
+        pipe.fit(&data);
+        let cnn_16 = || {
+            SessionBuilder::new(OnlineConfig::new((16, 16)))
+                .cnn(&pipe)
+                .build()
+                .expect("trained")
+        };
+        let mut rt = ServeRuntime::new(ServeConfig::new().with_quantum(8));
+        // The first session decodes words against 32×32 but its classifier
+        // indexes a 16×16 frame; the second is configured consistently.
+        let wide = rt.open_session(cnn_16(), (32, 32)).unwrap();
+        let fit = rt.open_session(cnn_16(), (16, 16)).unwrap();
+        // At t = 5 ms the 2 ms CNN window flushes: a frame holding the
+        // (31, 31) event would be indexed out of bounds there.
+        for (t, x, y) in [(10, 3, 3), (20, 31, 31), (5_000, 4, 4)] {
+            let event = Event::new(t, x, y, Polarity::On);
+            let word = rt.session(wide).unwrap().codec().encode(&event);
+            assert!(rt.offer_aer(wide, word).unwrap().accepted());
+        }
+        for e in events(16, 10) {
+            rt.offer(fit, e);
+        }
+        // Two pool threads: a classifier panic here would be re-raised.
+        par::with_threads(2, || rt.tick());
+        let s = rt.session(wide).unwrap();
+        let err = s
+            .error()
+            .expect("the out-of-range event failed the session");
+        assert!(err.to_string().contains("outside the 16x16"), "{err}");
+        assert!(!s.is_active());
+        assert_eq!(s.stats().processed, 1);
+        assert!(obs::counter_value("serve.session.errors") > errors_before);
+        let ok = rt.session(fit).unwrap();
+        assert!(ok.error().is_none() && ok.is_active());
+        assert_eq!(ok.stats().processed, 8);
+    }
+
+    #[test]
     fn failed_sessions_stop_but_keep_stats() {
         let mut rt = ServeRuntime::new(ServeConfig::new().with_quantum(4));
         let id = rt.open_session(Modulo::boxed(4, 1), (16, 16)).unwrap();

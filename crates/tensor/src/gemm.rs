@@ -1,11 +1,12 @@
-//! Cache-blocked GEMM and im2col convolution kernels.
+//! Cache-blocked GEMM and the conv2d kernels.
 //!
 //! This is the dense compute core of the workspace: a std-only, BLIS-style
-//! tiled matrix multiply plus the im2col/col2im lowering that turns
-//! [`crate::layer::Conv2d`] into calls onto it. Throughput comes from two
+//! tiled matrix multiply, a direct register-tiled convolution for the
+//! [`crate::layer::Conv2d`] forward, and the im2col/col2im lowering that
+//! turns the conv backward into GEMM calls. Throughput comes from two
 //! independent levers: memory-access structure (packed panels, register
-//! tiles) and, for large enough problems, macro-panel parallelism over the
-//! `evlab_util::par` kernel pool.
+//! tiles) and, for large enough problems, shape-only parallel grids over
+//! the `evlab_util::par` kernel pool.
 //!
 //! # Panel partitioning
 //!
@@ -21,6 +22,33 @@
 //! path. Problems below [`PAR_MIN_MACS`] (or with a single-rectangle
 //! grid) skip dispatch entirely and use the caller's scratch.
 //!
+//! # Direct conv forward
+//!
+//! [`conv2d_forward`] never builds the im2col matrix. It copies the input
+//! once into a zero-padded buffer, packs the weights into `[lane
+//! block][tap][lane]` order, and forms the output in register tiles of
+//! `CONV_LANES = 8` output channels × `CONV_PIXELS = 4` consecutive
+//! output pixels of one output row. A tile is seeded with the bias; for
+//! every tap `t = (ic·K + ky)·K + kx` in ascending order it adds `w · x`
+//! to each lane. Padding taps read the buffer's `+0.0` and zero inputs
+//! are multiplied like any other, so each output element is exactly the
+//! chain the im2col + GEMM lowering formed (column `p` of `W · Col`).
+//! Lanes past `out_channels` and pixels past the output width are
+//! computed into the tile and never stored. The buffer is wide enough for
+//! whole pixel blocks, so the tap loop has no padding branches; stride 1
+//! (every `Conv2d`) runs a copy of it with the stride folded in as a
+//! constant.
+//!
+//! The forward runs its tiles serially on the caller's thread for every
+//! shape, so it is thread-count invariant by construction. Its callers
+//! already run it inside pool regions (serve ticks, `BatchTrainer`
+//! chunks), and no benchmarked shape showed a fan-out paying
+//! (DESIGN.md §10).
+//!
+//! The effective-MAC count (nonzero im2col entries × out channels) is
+//! computed without the col matrix: a nonzero input appears in it once
+//! per output row its row reaches times output column its column reaches.
+//!
 //! # Summation-order contract
 //!
 //! Every kernel in this module obeys one rule: **for each output element,
@@ -34,25 +62,32 @@
 //!   so the per-element chain `((init + a·b)₀ + a·b)₁ …` is the sequential
 //!   ascending-k chain regardless of panel size;
 //! - the microkernel keeps one scalar accumulator per output element of
-//!   its `MR × NR` tile — there is no split/recombine of partial sums.
+//!   its `MR × NR` tile — there is no split/recombine of partial sums;
+//! - the direct conv tile keeps one scalar accumulator per (lane, pixel)
+//!   and visits the taps in ascending `(ic, ky, kx)` order, the im2col row
+//!   order. No `mul_add`, no reassociation.
 //!
 //! Floating-point addition is not associative, so this contract is what
 //! makes the blocked kernels **bit-identical** to the naive loop nests
 //! (and therefore to the pre-blocking checksums pinned in
 //! `BENCH_hotpaths.json`, and to the 1-vs-4-thread bit-identity contract
-//! in `tests/par_equivalence.rs`). One theoretical edge exists: the naive
-//! conv nest skips products whose input value is exactly `0.0`, while the
-//! GEMM lowering includes them. `acc + (±0.0 · w)` is bitwise `acc` in all
-//! cases except `acc == -0.0` with addend `+0.0`; since accumulators start
-//! from bias values and `x + y == -0.0` in round-to-nearest requires both
-//! operands to be `-0.0`, a `-0.0` accumulator cannot arise from the
-//! ascending-k chain unless bias itself is `-0.0` *and* all products so
-//! far were `-0.0`. The property tests in `tests/kernel_equivalence.rs`
-//! sweep this empirically.
+//! in `tests/par_equivalence.rs`). Two edge cases remain, shared by the
+//! direct kernel and the im2col lowering before it. First, the naive conv
+//! nest skips products whose input value is exactly `0.0`, while the
+//! conv kernels include them (padding taps too). `acc + (±0.0 · w)` is
+//! bitwise `acc` in all cases except `acc == -0.0` with addend `+0.0`;
+//! since accumulators start from bias values and `x + y == -0.0` in
+//! round-to-nearest requires both operands to be `-0.0`, a `-0.0`
+//! accumulator cannot arise from the ascending-k chain unless the bias
+//! itself is `-0.0` *and* all products so far were `-0.0`. Second, a
+//! non-finite weight times an included zero is NaN where the naive nest
+//! adds nothing. So the kernels match the oracle bit for bit whenever the
+//! weights are finite and no bias is `-0.0`. The property tests in
+//! `tests/kernel_equivalence.rs` and the `conv` target of `fuzz_lab`
+//! check exactly that domain.
 
 use crate::scratch::{with_worker_scratch, Scratch};
 use evlab_util::{obs, par};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Microkernel tile rows (output rows per register tile).
 pub const MR: usize = 4;
@@ -73,6 +108,11 @@ pub const NBAND: usize = 64;
 const PAR_MIN_MACS: usize = 1 << 17;
 /// Minimum `col_rows · pixels` before the im2col lowering fans out.
 const IM2COL_PAR_MIN: usize = 1 << 14;
+/// Output-channel lanes per register tile of the direct conv forward.
+const CONV_LANES: usize = 8;
+/// Consecutive output pixels (along one output row) per direct-conv
+/// register tile.
+const CONV_PIXELS: usize = 4;
 
 /// `c[m × n] += a[m × k] · b[k × n]` for row-major contiguous operands.
 ///
@@ -465,10 +505,9 @@ impl ConvShape {
 }
 
 /// Fills one im2col row `t = (ic·K + ky)·K + kx` (all `pixels` output
-/// positions for one kernel tap) and returns its non-zero count. Each row
-/// is an independent, disjoint slice of the col matrix — the unit of
-/// parallelism in [`im2col`].
-fn im2col_row(s: &ConvShape, x: &[f32], t: usize, row: &mut [f32]) -> u64 {
+/// positions for one kernel tap). Each row is an independent, disjoint
+/// slice of the col matrix — the unit of parallelism in [`im2col`].
+fn im2col_row(s: &ConvShape, x: &[f32], t: usize, row: &mut [f32]) {
     let (oh, ow) = s.out_hw();
     let (h, w, k, st) = (s.in_h, s.in_w, s.kernel, s.stride);
     let p_off = s.padding as isize;
@@ -504,42 +543,35 @@ fn im2col_row(s: &ConvShape, x: &[f32], t: usize, row: &mut [f32]) -> u64 {
             }
         }
     }
-    row.iter().filter(|&&v| v != 0.0).count() as u64
 }
 
 /// Expands `x` (`[C, H, W]`) into the im2col matrix `col[t, p]` with
 /// `t = (ic·K + ky)·K + kx` and `p = oy·ow + ox`, zero-filling padded
-/// taps, and returns `nnz(col)`. Row index `t` ascending is exactly the
-/// naive nest's `(ic, ky, kx)` accumulation order, which is what lets the
-/// GEMM keep the summation-order contract.
+/// taps — the operand of the backward's weight-gradient GEMM.
 ///
 /// Large lowerings fan the `t` rows out over the kernel pool: each row is
-/// a disjoint contiguous slice, and the nnz total is an integer sum —
-/// both invariant under the thread count.
-fn im2col(s: &ConvShape, x: &[f32], col: &mut [f32]) -> u64 {
+/// a disjoint contiguous slice, invariant under the thread count.
+fn im2col(s: &ConvShape, x: &[f32], col: &mut [f32]) {
     let pixels = s.out_pixels();
     let t_rows = s.col_rows();
     if t_rows * pixels < IM2COL_PAR_MIN {
-        let mut nnz = 0u64;
         for (t, row) in col.chunks_exact_mut(pixels).enumerate().take(t_rows) {
-            nnz += im2col_row(s, x, t, row);
+            im2col_row(s, x, t, row);
         }
-        return nnz;
+        return;
     }
     obs::counter_add("tensor.conv.im2col_chunks", t_rows as u64);
-    let nnz = AtomicU64::new(0);
     let col_addr = col.as_mut_ptr() as usize;
     par::for_each_chunk(t_rows, |t| {
         // SAFETY: row `t` is the disjoint slice `col[t*pixels..(t+1)*pixels]`
-        // (caller asserted `col.len() >= t_rows * pixels`), so concurrent
+        // (the caller sized `col` to `t_rows * pixels`), so concurrent
         // chunks never alias; the base pointer stays valid because `col` is
         // mutably borrowed for the whole region.
         let row = unsafe {
             std::slice::from_raw_parts_mut((col_addr as *mut f32).add(t * pixels), pixels)
         };
-        nnz.fetch_add(im2col_row(s, x, t, row), Ordering::Relaxed);
+        im2col_row(s, x, t, row);
     });
-    nnz.into_inner()
 }
 
 /// Scatters `dcol[t, p]` back into the input gradient `gi` (`+=`), in
@@ -572,11 +604,172 @@ fn col2im_accumulate(s: &ConvShape, dcol: &[f32], gi: &mut [f32]) {
     }
 }
 
-/// Blocked conv2d forward: `out[o, p] = bias[o] + Σ_t w[o, t] · col[t, p]`
-/// via im2col + [`gemm_into`]. Writes the full `[O, oh, ow]` output into
-/// `out` (overwritten, not accumulated) and returns the effective MAC
-/// count, i.e. `nnz(col) · out_channels` — the same zero-skipping count
-/// the naive nest reports.
+/// Output positions along one axis whose kernel window covers input index
+/// `i`: the `o < n_out` with `o·stride ≤ i + pad < o·stride + k`. Needs
+/// `n_out ≥ 1` and `stride ≥ 1`, which [`ConvShape::out_hw`] guarantees.
+fn reach(i: usize, pad: usize, k: usize, stride: usize, n_out: usize) -> usize {
+    let q = i + pad;
+    let hi = (q / stride).min(n_out - 1);
+    let lo = (q + 1).saturating_sub(k).div_ceil(stride);
+    (hi + 1).saturating_sub(lo)
+}
+
+/// Geometry of one direct conv forward: the output extent and the
+/// zero-padded input copy that the tile loop reads.
+#[derive(Clone, Copy)]
+struct DirectConv {
+    s: ConvShape,
+    oh: usize,
+    ow: usize,
+    /// Rows of one padded channel plane: `in_h + 2·padding`.
+    xp_rows: usize,
+    /// Columns of one padded row: the padded input width, widened so that
+    /// the dead pixels of a partly live last pixel block read zeros.
+    xp_cols: usize,
+}
+
+impl DirectConv {
+    fn new(s: &ConvShape) -> Self {
+        let (oh, ow) = s.out_hw();
+        let block_cols = ow.div_ceil(CONV_PIXELS) * CONV_PIXELS;
+        DirectConv {
+            s: *s,
+            oh,
+            ow,
+            xp_rows: s.in_h + 2 * s.padding,
+            xp_cols: (s.in_w + 2 * s.padding).max((block_cols - 1) * s.stride + s.kernel),
+        }
+    }
+
+    /// Copies `x` into `xp` (`[C, xp_rows, xp_cols]`, zero-filled by the
+    /// arena) at offset `(padding, padding)` and returns `nnz` of the
+    /// im2col matrix the GEMM lowering builds. That matrix holds input
+    /// `(ic, iy, ix)` once per output row its row reaches times output
+    /// column its column reaches, so the count is `Σ reach(iy)·reach(ix)`
+    /// over the nonzero inputs. `reach_x` (`in_w` long) holds the column
+    /// reaches, small integers that `f32` represents exactly.
+    fn pad_input(&self, x: &[f32], xp: &mut [f32], reach_x: &mut [f32]) -> u64 {
+        let s = &self.s;
+        let (h, w, p) = (s.in_h, s.in_w, s.padding);
+        for (ix, r) in reach_x.iter_mut().enumerate() {
+            *r = reach(ix, p, s.kernel, s.stride, self.ow) as f32;
+        }
+        let mut nnz = 0u64;
+        for ic in 0..s.in_channels {
+            for iy in 0..h {
+                let src = &x[(ic * h + iy) * w..][..w];
+                let at = (ic * self.xp_rows + iy + p) * self.xp_cols + p;
+                xp[at..at + w].copy_from_slice(src);
+                let rows = reach(iy, p, s.kernel, s.stride, self.oh) as u64;
+                if rows > 0 {
+                    let cols: u64 = src
+                        .iter()
+                        .zip(reach_x.iter())
+                        .filter(|(v, _)| **v != 0.0)
+                        .map(|(_, &r)| r as u64)
+                        .sum();
+                    nnz += rows * cols;
+                }
+            }
+        }
+        nnz
+    }
+
+    /// Forms every output of lane block `lb` (channels `lb·CONV_LANES ..`)
+    /// into `out` (`[O, oh, ow]`), one `CONV_LANES × CONV_PIXELS` register
+    /// tile at a time. Each tile is seeded with the bias and takes
+    /// `acc += w · x` for every tap `(ic, ky, kx)` in ascending order; only
+    /// live lanes and pixels are stored.
+    fn run_block(&self, xp: &[f32], wp: &[f32], bias: &[f32], lb: usize, out: &mut [f32]) {
+        let s = &self.s;
+        let st = s.stride;
+        let t_rows = s.col_rows();
+        let (taps, _) =
+            wp[lb * t_rows * CONV_LANES..][..t_rows * CONV_LANES].as_chunks::<CONV_LANES>();
+        let o0 = lb * CONV_LANES;
+        let live = CONV_LANES.min(s.out_channels - o0);
+        let mut seed = [0.0f32; CONV_LANES];
+        seed[..live].copy_from_slice(&bias[o0..o0 + live]);
+        let plane = self.xp_rows * self.xp_cols;
+        for oy in 0..self.oh {
+            for ox0 in (0..self.ow).step_by(CONV_PIXELS) {
+                let mut acc = [seed; CONV_PIXELS];
+                let origin = oy * st * self.xp_cols + ox0 * st;
+                // Stride 1 (every `Conv2d`) gets its own copy of the tap
+                // loop with the stride folded in as a constant.
+                if st == 1 {
+                    self.tile(&mut acc, xp, taps, origin, plane, 1);
+                } else {
+                    self.tile(&mut acc, xp, taps, origin, plane, st);
+                }
+                let px = CONV_PIXELS.min(self.ow - ox0);
+                for (l, o) in (o0..o0 + live).enumerate() {
+                    let row = &mut out[(o * self.oh + oy) * self.ow + ox0..][..px];
+                    for (dst, lanes) in row.iter_mut().zip(&acc) {
+                        *dst = lanes[l];
+                    }
+                }
+            }
+        }
+    }
+
+    /// Accumulates every tap `(ic, ky, kx)`, in ascending order, into one
+    /// register tile whose top-left input is `xp[origin]`: pixel `j` of
+    /// the tile reads `x = xp[origin + ic·plane + ky·xp_cols + kx +
+    /// j·stride]` and each lane `l` takes `acc[j][l] += w[t][l] · x`.
+    #[inline(always)]
+    fn tile(
+        &self,
+        acc: &mut [[f32; CONV_LANES]; CONV_PIXELS],
+        xp: &[f32],
+        taps: &[[f32; CONV_LANES]],
+        origin: usize,
+        plane: usize,
+        stride: usize,
+    ) {
+        let k = self.s.kernel;
+        let span = (CONV_PIXELS - 1) * stride + k;
+        for ic in 0..self.s.in_channels {
+            for ky in 0..k {
+                let wrow = &taps[(ic * k + ky) * k..][..k];
+                let at = origin + ic * plane + ky * self.xp_cols;
+                let xrow = &xp[at..at + span];
+                // Window `kx` holds the inputs of tap `kx` for every pixel.
+                for (win, wv) in xrow.windows((CONV_PIXELS - 1) * stride + 1).zip(wrow) {
+                    let xs: [f32; CONV_PIXELS] = std::array::from_fn(|j| win[j * stride]);
+                    for j in 0..CONV_PIXELS {
+                        for l in 0..CONV_LANES {
+                            acc[j][l] += wv[l] * xs[j];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Packs `w` (`[O, T]` row-major) into `[lane block][tap][lane]`; the
+/// lanes past `O` of the last block keep the arena's zeros.
+fn pack_conv_weights(s: &ConvShape, w: &[f32], wp: &mut [f32]) {
+    let t_rows = s.col_rows();
+    for o in 0..s.out_channels {
+        let block = &mut wp[(o / CONV_LANES) * t_rows * CONV_LANES..][..t_rows * CONV_LANES];
+        let lane = o % CONV_LANES;
+        for (t, &v) in w[o * t_rows..(o + 1) * t_rows].iter().enumerate() {
+            block[t * CONV_LANES + lane] = v;
+        }
+    }
+}
+
+/// Direct conv2d forward: `out[o, oy, ox] = bias[o] + Σ_(ic, ky, kx)
+/// w[o, ic, ky, kx] · x_pad[ic, oy·s + ky, ox·s + kx]`, formed by
+/// register tiles of 8 output channels × 4 output pixels, serially on the
+/// caller's thread (module docs: chain order). Writes
+/// the full `[O, oh, ow]` output into `out` (overwritten, not
+/// accumulated) and returns the effective MAC count: the nonzero entries
+/// of the im2col matrix times `out_channels`, the same zero-skipping
+/// count the naive nest reports. The zero-padded input copy, the column
+/// reaches and the packed weights come from `scratch`.
 ///
 /// # Panics
 ///
@@ -590,18 +783,23 @@ pub fn conv2d_forward(
     scratch: &mut Scratch,
 ) -> u64 {
     let t_rows = s.col_rows();
-    let pixels = s.out_pixels();
+    let g = DirectConv::new(s);
     assert!(x.len() >= s.in_channels * s.in_h * s.in_w);
     assert!(w.len() >= s.out_channels * t_rows && bias.len() >= s.out_channels);
-    assert!(out.len() >= s.out_channels * pixels);
+    assert!(out.len() >= s.out_channels * g.oh * g.ow);
     obs::counter_add("tensor.conv.forward", 1);
-    let mut col = scratch.take_buf(t_rows * pixels);
-    let nnz = im2col(s, x, &mut col);
-    for (o, row) in out.chunks_exact_mut(pixels).enumerate().take(s.out_channels) {
-        row.fill(bias[o]);
+    let mut xp = scratch.take_buf(s.in_channels * g.xp_rows * g.xp_cols);
+    let mut reach_x = scratch.take_buf(s.in_w);
+    let nnz = g.pad_input(x, &mut xp, &mut reach_x);
+    scratch.put_buf(reach_x);
+    let lane_blocks = s.out_channels.div_ceil(CONV_LANES);
+    let mut wp = scratch.take_buf(lane_blocks * t_rows * CONV_LANES);
+    pack_conv_weights(s, w, &mut wp);
+    for lb in 0..lane_blocks {
+        g.run_block(&xp, &wp, bias, lb, out);
     }
-    gemm_into(s.out_channels, pixels, t_rows, w, &col, out, scratch);
-    scratch.put_buf(col);
+    scratch.put_buf(wp);
+    scratch.put_buf(xp);
     nnz * s.out_channels as u64
 }
 

@@ -339,9 +339,12 @@ impl Layer for Linear {
 }
 
 /// 2-D convolution over `[C, H, W]` inputs with stride 1 and symmetric zero
-/// padding. Forward and backward lower onto the cache-blocked im2col + GEMM
-/// kernels in [`crate::gemm`], preserving the naive nest's per-output
-/// `(ic, ky, kx)` accumulation order bit-for-bit.
+/// padding. The forward runs the direct register-tiled kernel
+/// [`crate::gemm::conv2d_forward`]; the backward lowers onto im2col + the
+/// cache-blocked GEMM ([`crate::gemm::conv2d_backward`]). Both keep the
+/// naive nest's per-output ascending `(ic, ky, kx)` accumulation order, so
+/// outputs match it bit for bit (finite weights, no `-0.0` bias: the
+/// [`crate::gemm`] module docs give the two edge cases).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Conv2d {
     weight: Param,
@@ -351,8 +354,9 @@ pub struct Conv2d {
     kernel: usize,
     padding: usize,
     cached_input: Option<Tensor>,
-    /// Per-layer pool for the im2col and GEMM packing buffers, so the
-    /// non-arena forward/backward path is also allocation-free once warm.
+    /// Per-layer pool for the conv kernels' padded-input, packed-weight,
+    /// im2col and GEMM packing buffers, so the non-arena forward/backward
+    /// path is also allocation-free once warm.
     scratch: Scratch,
 }
 
@@ -425,7 +429,7 @@ impl Conv2d {
     }
 
     /// Shared forward body: `out` must have shape `[O, oh, ow]`; it is
-    /// fully overwritten. `scratch` serves the im2col/packing buffers.
+    /// fully overwritten. `scratch` serves the kernel's working buffers.
     fn forward_into(
         &mut self,
         input: &Tensor,

@@ -11,9 +11,10 @@
 //! Modules:
 //!
 //! * [`tensor`] — the [`Tensor`] type and its shape-checked operations.
-//! * [`gemm`] — cache-blocked GEMM/matvec microkernels and the im2col
-//!   conv2d lowering (bit-identical to the naive loop nests by the
-//!   summation-order contract documented there).
+//! * [`gemm`] — cache-blocked GEMM/matvec microkernels, the direct
+//!   register-tiled conv2d forward and the im2col conv2d backward
+//!   (bit-identical to the naive loop nests by the summation-order
+//!   contract documented there).
 //! * [`scratch`] — the [`Scratch`] arena that makes steady-state training
 //!   and inference allocation-free.
 //! * [`counters`] — [`OpCount`], the arithmetic/memory instrumentation.

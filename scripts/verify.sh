@@ -6,9 +6,11 @@
 #   2. `cargo clippy --workspace -- -D warnings` (offline lint gate);
 #   3. the full workspace test suite;
 #   4. the kernel bit-identity tests (tests/kernel_equivalence.rs):
-#      blocked GEMM and im2col conv2d forward/backward must reproduce
-#      their naive loop-nest oracles bit for bit, and Scratch-arena reuse
-#      must be invisible;
+#      the blocked GEMM, the direct register-tiled conv2d forward (swept
+#      at 1 and 4 threads, partly filled tiles included) and the
+#      im2col + GEMM conv2d backward must reproduce their naive
+#      loop-nest oracles bit for bit, and
+#      Scratch-arena reuse must be invisible;
 #   5. a smoke sweep of the `hotpaths` benchmark at EVLAB_THREADS ∈
 #      {1, 2, 4, 8} — the binary exits non-zero if any thread count
 #      produces output whose checksum differs from the serial run. The
@@ -44,7 +46,9 @@
 #      optimized graph builders, blocked vs naive GEMM, serial vs
 #      threaded execution, checkpoint/restore vs uninterrupted oracle,
 #      reorder buffer vs its contract model, json writer/parser round
-#      trips — 8 seeds per target plus the committed regression corpus,
+#      trips, the streaming GNN engine vs a frontier recompute, the conv2d
+#      kernels vs their naive nests at 1 and 4 threads — 8 seeds per
+#      target plus the committed regression corpus,
 #      with `evlab_util::check` runtime invariants forced on) — the
 #      binary exits non-zero on any mismatch, panic, or invariant
 #      violation, and `obs_check --forbid 'check.*violations'` re-checks
@@ -60,7 +64,13 @@
 #      run of each workload (`replay`, `fanin`, `durable`), so an API
 #      change in `par`, `serve` or `core::online` cannot break it
 #      unnoticed. Each smoke run exits non-zero if its correctness gates
-#      fail.
+#      fail;
+#  13. the committed result files: the standard output of `table1`,
+#      `ablations`, `fig1`, `fig2_snn` and `fig2_gnn` must equal
+#      `<bin>_output.txt` byte for byte (the outputs are deterministic at
+#      every thread count, so a kernel change that moves a printed bit
+#      fails here). `claims_output.txt` is regenerated the same way but
+#      not diffed: `claims` prints wall-clock timings.
 #
 # The smoke runs execute under EVLAB_OBS=1 with --metrics; afterwards
 # `obs_check` re-parses each metrics file with the crate's own JSON
@@ -162,7 +172,7 @@ cargo run -q --release --offline -p evlab-bench --bin obs_check -- \
     --require ckpt.journal_bytes \
     "$recovery_metrics"
 
-echo "==> fuzz_lab smoke (6 differential targets + regression corpus; invariants forced on)"
+echo "==> fuzz_lab smoke (8 differential targets + regression corpus; invariants forced on)"
 EVLAB_OBS=1 EVLAB_CHECK=1 cargo run -q --release --offline -p evlab-bench --bin fuzz_lab -- \
     --smoke --metrics "$fuzz_metrics"
 
@@ -191,4 +201,11 @@ for w in replay fanin durable; do
         --workload "$w" --seed 1 --seconds 1 --trace 0 --smoke
 done
 
-echo "==> OK: build, lints, tests, kernel bit-identity, hot-path determinism, alloc budget, serving degradation, chaos degradation, crash recovery, differential fuzzing, runtime invariants, observability and the serving benchmark all pass"
+echo "==> committed result files match the binaries' standard output"
+cargo build -q --release --offline -p evlab-bench --bins
+for bin in table1 ablations fig1 fig2_snn fig2_gnn; do
+    echo "    $bin"
+    "target/release/$bin" | diff -u "${bin}_output.txt" -
+done
+
+echo "==> OK: build, lints, tests, kernel bit-identity, hot-path determinism, alloc budget, serving degradation, chaos degradation, crash recovery, differential fuzzing, runtime invariants, observability, the serving benchmark and the committed result files all pass"

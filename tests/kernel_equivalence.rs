@@ -1,12 +1,12 @@
 //! Bit-identity tests for the cache-blocked kernels (DESIGN.md §10).
 //!
-//! The blocked GEMM and the im2col conv2d lowering promise the *exact*
-//! bits of their naive loop-nest oracles — per output element, products
-//! accumulate in ascending reduction order into a single f32 chain.
-//! These tests sweep that contract across awkward geometry (odd sizes,
-//! stride > 1, fat padding, 1×1 kernels) and seeded sparsity, and check
-//! that the [`Scratch`] arena's buffer reuse never leaks state between
-//! calls.
+//! The blocked GEMM, the direct conv2d forward and the im2col conv2d
+//! backward promise the *exact* bits of their naive loop-nest oracles —
+//! per output element, products accumulate in ascending reduction order
+//! into a single f32 chain. These tests sweep that contract across awkward
+//! geometry (odd sizes, stride > 1, fat padding, 1×1 kernels, partly
+//! filled register tiles) and seeded sparsity, and check that the
+//! [`Scratch`] arena's buffer reuse never leaks state between calls.
 
 use evlab::cnn::model::{build_cnn, CnnConfig};
 use evlab::tensor::gemm::{
@@ -40,7 +40,9 @@ fn assert_bits_eq(a: &[f32], b: &[f32], what: &str) {
 }
 
 /// Geometry sweep: the two table1 conv layers plus stride-2, pad-2,
-/// 1×1-kernel and odd-sized shapes that hit every im2col edge case.
+/// 1×1-kernel and odd-sized shapes that hit every im2col edge case, out
+/// channel counts that fill the last 8-lane block partly, output widths
+/// that fill the last 4-pixel block partly, and a 4×-width table1 conv2.
 fn shapes() -> Vec<ConvShape> {
     let s = |ic, oc, k, st, p, h, w| ConvShape {
         in_channels: ic,
@@ -59,25 +61,41 @@ fn shapes() -> Vec<ConvShape> {
         s(2, 3, 5, 1, 2, 9, 9),    // 5×5 kernel, padding 2
         s(4, 2, 3, 2, 2, 10, 7),   // stride 2 AND padding 2
         s(1, 1, 3, 3, 1, 8, 8),    // stride 3, single channel
+        s(3, 1, 3, 1, 1, 6, 6),    // 1 out channel, output width 6
+        s(2, 7, 3, 1, 0, 5, 7),    // 7 out channels, output width 5
+        s(4, 9, 3, 2, 1, 6, 5),    // 9 out channels, output width 3
+        s(2, 17, 1, 1, 0, 4, 1),   // 17 out channels, output width 1
+        s(32, 64, 3, 1, 1, 16, 16), // table1 conv2 at 4× width
     ]
 }
 
+/// The forward sweep runs on one thread and once more with four pool
+/// threads available: the result must not depend on the thread count.
 #[test]
 fn conv2d_forward_blocked_matches_naive_bits() {
-    let mut rng = Rng64::seed_from_u64(0xC04F);
-    let mut scratch = Scratch::new();
-    for shape in shapes() {
-        for &zero_frac in &[0.0, 0.6, 0.95] {
-            let (oh, ow) = shape.out_hw();
-            let x = rand_vec(&mut rng, shape.in_channels * shape.in_h * shape.in_w, zero_frac);
-            let w = rand_vec(&mut rng, shape.out_channels * shape.col_rows(), 0.0);
-            let bias = rand_vec(&mut rng, shape.out_channels, 0.0);
-            let mut out_blocked = vec![0.0f32; shape.out_channels * oh * ow];
-            let mut out_naive = vec![0.0f32; shape.out_channels * oh * ow];
-            let eff_b = conv2d_forward(&shape, &x, &w, &bias, &mut out_blocked, &mut scratch);
-            let eff_n = conv2d_forward_naive(&shape, &x, &w, &bias, &mut out_naive);
-            assert_bits_eq(&out_blocked, &out_naive, "conv forward");
-            assert_eq!(eff_b, eff_n, "effective MAC counts diverge");
+    for threads in [1, 4] {
+        let mut rng = Rng64::seed_from_u64(0xC04F);
+        let mut scratch = Scratch::new();
+        for shape in shapes() {
+            for &zero_frac in &[0.0, 0.6, 0.95, 1.0] {
+                let (oh, ow) = shape.out_hw();
+                let x = rand_vec(
+                    &mut rng,
+                    shape.in_channels * shape.in_h * shape.in_w,
+                    zero_frac,
+                );
+                let w = rand_vec(&mut rng, shape.out_channels * shape.col_rows(), 0.0);
+                let bias = rand_vec(&mut rng, shape.out_channels, 0.0);
+                let mut out_blocked = vec![f32::NAN; shape.out_channels * oh * ow];
+                let mut out_naive = vec![0.0f32; shape.out_channels * oh * ow];
+                let eff_b = par::with_threads(threads, || {
+                    conv2d_forward(&shape, &x, &w, &bias, &mut out_blocked, &mut scratch)
+                });
+                let eff_n = conv2d_forward_naive(&shape, &x, &w, &bias, &mut out_naive);
+                let what = format!("conv forward {shape:?} @{threads}t");
+                assert_bits_eq(&out_blocked, &out_naive, &what);
+                assert_eq!(eff_b, eff_n, "effective MAC counts diverge: {what}");
+            }
         }
     }
 }
@@ -216,8 +234,8 @@ fn conv2d_single_pixel_shapes_match_naive_at_every_thread_count() {
 
 /// The full geometry sweep again, but with kernels fanned out across the
 /// pool: results must equal the serial naive oracle bit-for-bit at every
-/// thread count (large shapes cross the PAR_MIN_MACS / IM2COL_PAR_MIN
-/// thresholds and actually run threaded).
+/// thread count (the GEMM shape crosses `PAR_MIN_MACS` and actually runs
+/// threaded; the direct conv forward runs serially at every count).
 #[test]
 fn threaded_kernels_match_naive_bits_across_thread_counts() {
     let mut rng = Rng64::seed_from_u64(0x7EAD);
