@@ -3,7 +3,7 @@
 //! Drives seeded random operation sequences through the workspace's core
 //! data paths and cross-checks every naive implementation against its
 //! optimized counterpart, with `evlab_util::check` invariants forced on
-//! so contract drift panics at the corrupting operation. Eight targets:
+//! so contract drift panics at the corrupting operation. Nine targets:
 //!
 //! * `graph_builders` — naive vs kd-tree vs incremental vs sliding-window
 //!   graph construction over random event streams and configs.
@@ -36,6 +36,14 @@
 //!   accumulated gradients bit-identical. Weights are finite and no bias
 //!   is `-0.0`: the kernels include zero products that the naive forward
 //!   skips, which differs in exactly those two cases (`gemm` module docs).
+//! * `snn_stream` — the event-driven SNN engine (`EventDrivenSnn`, one
+//!   step per layer over transposed weights) vs decay-on-demand written
+//!   per neuron on the public API, over random nets (1–3 hidden layers
+//!   of widths {1, 3, 8, 64, 257}, leak in (0, 1], cascading thresholds)
+//!   and streams with same-step spikes, long gaps and resets: spike
+//!   counts and logit bits after every injection, `save_state` bytes, a
+//!   mid-stream restore, a batch `process` and the op counts, at
+//!   `EVLAB_THREADS` 1 and 4.
 //!
 //! Every case is a pure function of `(target, seed, size)`: a mismatch
 //! report names all three, and the lab shrinks the failing size by
@@ -56,6 +64,9 @@ use evlab_gnn::conv::NodeFeatures;
 use evlab_gnn::graph::{EventGraph, GraphView};
 use evlab_gnn::network::{GnnConfig, GnnNetwork};
 use evlab_gnn::window::{SlidingWindowGraph, WindowPolicy, WindowedGnn};
+use evlab_snn::encode::SpikeTrain;
+use evlab_snn::event_driven::EventDrivenSnn;
+use evlab_snn::network::{SnnConfig, SnnNetwork};
 use evlab_tensor::gemm::{
     conv2d_backward, conv2d_backward_naive, conv2d_forward, conv2d_forward_naive, gemm_into,
     gemm_naive_into, ConvShape,
@@ -88,6 +99,7 @@ const TARGETS: &[Target] = &[
     Target { name: "json_roundtrip", full_size: 48, smoke_size: 16, run: json_roundtrip },
     Target { name: "gnn_stream", full_size: 300, smoke_size: 80, run: gnn_stream },
     Target { name: "conv", full_size: 64, smoke_size: 24, run: conv },
+    Target { name: "snn_stream", full_size: 300, smoke_size: 80, run: snn_stream },
 ];
 
 // ---------------------------------------------------------------------
@@ -827,6 +839,254 @@ fn conv(seed: u64, size: usize) -> Result<(), String> {
     Ok(())
 }
 
+/// Decay-on-demand as the event-driven policy states it, on the public
+/// API: one last-update step and one `powi` per neuron, weights read
+/// `[out][in]` from the clocked network, and the op counts charged neuron
+/// by neuron.
+struct ReferenceSnn {
+    weights: Vec<Vec<f32>>,
+    /// Per layer: input width, leak, threshold.
+    params: Vec<(usize, f32, f32)>,
+    v: Vec<Vec<f32>>,
+    last: Vec<Vec<u64>>,
+    readout_w: Vec<f32>,
+    readout_leak: f32,
+    readout_v: Vec<f32>,
+    readout_last: Vec<u64>,
+    spike_counts: Vec<usize>,
+}
+
+impl ReferenceSnn {
+    fn new(net: &SnnNetwork) -> Self {
+        let layers = net.layers();
+        let classes = net.config().classes;
+        ReferenceSnn {
+            weights: layers
+                .iter()
+                .map(|l| l.weight().value.as_slice().to_vec())
+                .collect(),
+            params: layers
+                .iter()
+                .map(|l| (l.in_size(), l.config().leak, l.config().threshold))
+                .collect(),
+            v: layers.iter().map(|l| vec![0.0; l.out_size()]).collect(),
+            last: layers.iter().map(|l| vec![0; l.out_size()]).collect(),
+            readout_w: net.readout_weight().as_slice().to_vec(),
+            readout_leak: net.config().readout_leak,
+            readout_v: vec![0.0; classes],
+            readout_last: vec![0; classes],
+            spike_counts: vec![0; layers.len()],
+        }
+    }
+
+    fn reset(&mut self) {
+        self.v.iter_mut().flatten().for_each(|v| *v = 0.0);
+        self.last.iter_mut().flatten().for_each(|t| *t = 0);
+        self.readout_v.iter_mut().for_each(|v| *v = 0.0);
+        self.readout_last.iter_mut().for_each(|t| *t = 0);
+    }
+
+    /// One spike from `i` into layer `l` at step `t`; returns the hidden
+    /// spikes it caused and adds them to `spike_counts`.
+    fn inject(&mut self, l: usize, i: usize, t: u64, ops: &mut OpCount) -> usize {
+        if l == self.v.len() {
+            let hidden = self.v[l - 1].len();
+            for c in 0..self.readout_v.len() {
+                let elapsed = t.saturating_sub(self.readout_last[c]);
+                if elapsed > 0 {
+                    self.readout_v[c] *= self.readout_leak.powi(elapsed as i32);
+                    ops.record_mult(1);
+                    ops.record_read(2);
+                    ops.record_write(2);
+                }
+                self.readout_last[c] = t;
+                self.readout_v[c] += 1.0 * self.readout_w[c * hidden + i];
+                ops.record_add(1);
+                ops.record_read(1);
+            }
+            return 0;
+        }
+        let (in_size, leak, threshold) = self.params[l];
+        let mut fired = Vec::new();
+        for j in 0..self.v[l].len() {
+            let elapsed = t.saturating_sub(self.last[l][j]);
+            if elapsed > 0 {
+                self.v[l][j] *= leak.powi(elapsed as i32);
+                ops.record_mult(1);
+                ops.record_read(2);
+                ops.record_write(2);
+            }
+            self.last[l][j] = t;
+            self.v[l][j] += 1.0 * self.weights[l][j * in_size + i];
+            ops.record_add(1);
+            ops.record_read(1);
+            ops.record_compare(1);
+            if self.v[l][j] >= threshold {
+                self.v[l][j] -= threshold;
+                fired.push(j);
+            }
+        }
+        self.spike_counts[l] += fired.len();
+        let mut spikes = fired.len();
+        for j in fired {
+            spikes += self.inject(l + 1, j, t, ops);
+        }
+        spikes
+    }
+
+    fn logits_at(&self, t: u64) -> Vec<f32> {
+        self.readout_v
+            .iter()
+            .zip(&self.readout_last)
+            .map(|(&v, &last)| match t.saturating_sub(last) {
+                0 => v,
+                elapsed => v * self.readout_leak.powi(elapsed as i32),
+            })
+            .collect()
+    }
+
+    /// The snapshot layout: per-neuron membranes and steps.
+    fn save_state(&self, enc: &mut Encoder) {
+        enc.put_u64(self.v.len() as u64);
+        for (v, last) in self.v.iter().zip(&self.last) {
+            enc.put_f32_slice(v);
+            enc.put_u64_slice(last);
+        }
+        enc.put_f32_slice(&self.readout_v);
+        enc.put_u64_slice(&self.readout_last);
+    }
+
+    /// A batch run: reset, inject step by step, decay the readout to the
+    /// end of the window.
+    fn process(&mut self, train: &SpikeTrain, ops: &mut OpCount) -> Vec<f32> {
+        self.reset();
+        self.spike_counts.iter_mut().for_each(|c| *c = 0);
+        for t in 0..train.num_steps() {
+            for &i in train.at(t) {
+                self.inject(0, i as usize, t as u64 + 1, ops);
+            }
+        }
+        let steps = train.num_steps() as u64;
+        for c in 0..self.readout_v.len() {
+            let elapsed = steps.saturating_sub(self.readout_last[c]);
+            if elapsed > 0 {
+                self.readout_v[c] *= self.readout_leak.powi(elapsed as i32);
+                ops.record_mult(1);
+            }
+        }
+        self.readout_v.clone()
+    }
+}
+
+/// Engine vs [`ReferenceSnn`] over one random net and stream (see the
+/// module docs), at `EVLAB_THREADS` 1 and 4. The stream is restored into
+/// a fresh engine at a random cut and continues from there.
+fn snn_stream(seed: u64, size: usize) -> Result<(), String> {
+    let mut rng = Rng64::seed_from_u64(seed ^ 0x736E_6E73);
+    let widths = [1usize, 3, 8, 64, 257];
+    let input = widths[rng.next_index(widths.len())];
+    let hidden: Vec<usize> = (0..1 + rng.next_index(3))
+        .map(|_| widths[rng.next_index(widths.len())])
+        .collect();
+    let mut config = SnnConfig::new(input, 1 + rng.next_index(5)).with_hidden(hidden.clone());
+    // Leaks in (0, 1]; thresholds from 0.05 to 0.8, low enough against
+    // He-scaled weights that spikes cascade through the stack.
+    config.lif.leak = 1.0 - rng.next_f32() * 0.999;
+    config.lif.threshold = 0.05 + rng.next_f32() * 0.75;
+    config.readout_leak = 1.0 - rng.next_f32() * 0.999;
+    let case = format!(
+        "input {input} hidden {hidden:?} leak {} threshold {} readout leak {}",
+        config.lif.leak, config.lif.threshold, config.readout_leak
+    );
+    let net = SnnNetwork::new(config, &mut rng);
+    // (input index, step, reset first, readout lookahead) per injection:
+    // half the gaps are 0 (same step), a tenth 17–60 steps.
+    let mut stream = Vec::with_capacity(size);
+    let mut step = 0u64;
+    for _ in 0..size {
+        let reset = rng.bernoulli(0.03);
+        if reset {
+            step = 0;
+        }
+        step += match rng.next_index(10) {
+            0..=4 => 0,
+            5..=7 => 1 + rng.next_below(3),
+            8 => 4 + rng.next_below(13),
+            _ => 17 + rng.next_below(44),
+        };
+        let lookahead = [1u64, 2, 17, 40][rng.next_index(4)];
+        stream.push((rng.next_index(input), step, reset, lookahead));
+    }
+    let cut = rng.next_index(size.max(1));
+    let steps = 1 + rng.next_index(30);
+    let mut train = SpikeTrain::new(input, steps);
+    for t in 0..steps {
+        for _ in 0..rng.next_index(4) {
+            train.push(t, rng.next_index(input) as u32);
+        }
+    }
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    for nthreads in [1usize, 4] {
+        par::with_threads(nthreads, || {
+            let what = |msg: String| format!("{case} threads={nthreads}: {msg}");
+            let mut engine = EventDrivenSnn::from_network(&net);
+            let mut reference = ReferenceSnn::new(&net);
+            let (mut ops, mut ref_ops) = (OpCount::new(), OpCount::new());
+            for (k, &(i, t, reset, ahead)) in stream.iter().enumerate() {
+                if k == cut {
+                    let mut enc = Encoder::new();
+                    engine.save_state(&mut enc);
+                    engine = EventDrivenSnn::from_network(&net);
+                    engine
+                        .load_state(&mut Decoder::new(enc.as_bytes()))
+                        .map_err(|e| what(format!("valid state rejected: {e:?}")))?;
+                }
+                if reset {
+                    engine.reset();
+                    reference.reset();
+                }
+                let got = engine.inject_input(i, t, &mut ops);
+                let want = reference.inject(0, i, t, &mut ref_ops);
+                if got != want {
+                    return Err(what(format!("injection {k}: {got} spikes vs {want}")));
+                }
+                for at in [t, t + ahead] {
+                    let (g, w) = (engine.logits_at(at), reference.logits_at(at));
+                    if bits(&g) != bits(&w) {
+                        return Err(what(format!(
+                            "injection {k}: logits_at({at}) {g:?} vs {w:?}"
+                        )));
+                    }
+                }
+            }
+            let (mut enc, mut ref_enc) = (Encoder::new(), Encoder::new());
+            engine.save_state(&mut enc);
+            reference.save_state(&mut ref_enc);
+            if enc.as_bytes() != ref_enc.as_bytes() {
+                return Err(what("save_state bytes differ".to_string()));
+            }
+            if ops != ref_ops {
+                return Err(what(format!("op counts {ops:?} vs {ref_ops:?}")));
+            }
+            let got = engine.process(&train, &mut ops);
+            let want = reference.process(&train, &mut ref_ops);
+            if bits(got.logits.as_slice()) != bits(&want)
+                || got.spike_counts != reference.spike_counts
+                || ops != ref_ops
+            {
+                return Err(what(format!(
+                    "process: {:?} {:?} vs {want:?} {:?}, ops {ops:?} vs {ref_ops:?}",
+                    got.logits.as_slice(),
+                    got.spike_counts,
+                    reference.spike_counts
+                )));
+            }
+            Ok(())
+        })?;
+    }
+    Ok(())
+}
+
 // ---------------------------------------------------------------------
 // Harness
 // ---------------------------------------------------------------------
@@ -1058,6 +1318,14 @@ mod tests {
     fn conv_matches_the_naive_nests_on_a_few_seeds() {
         for seed in 0..16 {
             conv(seed, 16).expect("conv case");
+        }
+    }
+
+    /// The event-driven SNN engine agrees with the per-neuron reference.
+    #[test]
+    fn snn_stream_matches_the_reference_on_a_few_seeds() {
+        for seed in 0..12 {
+            snn_stream(seed, 120).expect("snn_stream case");
         }
     }
 

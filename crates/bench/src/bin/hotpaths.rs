@@ -1,9 +1,11 @@
 //! Std-only throughput benchmark for the parallelized hot paths (camera
 //! simulation, frame encoding, LIF stepping, graph construction), the
-//! streaming GNN engine (`gnn_stream`: sliding window plus incremental
-//! message passing, one event at a time) and the dense kernels (blocked GEMM, direct conv2d, the arena-backed CNN
-//! training step) — the kernels are themselves panel/batch-parallel now,
-//! so they sweep thread counts like every other workload.
+//! streaming engines (`snn_stream`: event-driven SNN injections and
+//! readouts as a serving session issues them; `gnn_stream`: sliding window
+//! plus incremental message passing, one event at a time) and the dense
+//! kernels (blocked GEMM, direct conv2d, the arena-backed CNN training
+//! step) — the kernels are themselves panel/batch-parallel now, so they
+//! sweep thread counts like every other workload.
 //!
 //! Swept workloads run at `EVLAB_THREADS` ∈ {1, 2, 4, 8} (both full and
 //! `--smoke` scale — the kernel determinism gate in `scripts/verify.sh`
@@ -74,6 +76,7 @@ struct Scale {
     snn_steps: usize,
     ed_hidden: usize,
     ed_steps: usize,
+    snn_stream_events: usize,
     graph_events: usize,
     kdtree_events: usize,
     window_events: usize,
@@ -97,6 +100,7 @@ impl Scale {
             snn_steps: 30,
             ed_hidden: 2048,
             ed_steps: 40,
+            snn_stream_events: 400_000,
             graph_events: 60_000,
             kdtree_events: 20_000,
             window_events: 40_000,
@@ -120,6 +124,7 @@ impl Scale {
             snn_steps: 6,
             ed_hidden: 512,
             ed_steps: 10,
+            snn_stream_events: 40_000,
             graph_events: 10_000,
             kdtree_events: 4_000,
             window_events: 8_000,
@@ -225,7 +230,7 @@ fn snn_workload(scale: &Scale) -> (u64, u64) {
             h.write_f32(last);
         }
     }
-    // Event-driven injections through a hidden layer wide enough to chunk.
+    // Event-driven injections through a wide hidden layer.
     let mut net = SnnNetwork::new(
         SnnConfig::new(64, 10).with_hidden(vec![scale.ed_hidden]),
         &mut rng,
@@ -245,6 +250,67 @@ fn snn_workload(scale: &Scale) -> (u64, u64) {
     let logits = net.forward(&train, &mut ed_ops);
     h.write_u64(checksum_f32s(logits.as_slice()));
     (h.finish(), items)
+}
+
+/// Injections at the end of the `snn_stream` workload whose allocations
+/// are gated (the same count at both scales, so one budget serves both).
+const SNN_ALLOC_INJECTIONS: usize = 1_000;
+
+/// Drives the event-driven SNN engine the way a serving session
+/// (`SnnOnline::push_event`) does: per event one `inject_input`, then
+/// `logits_at(step + 1)`, with a window reset every 16 steps, on a
+/// random-init 512→64→4 net and a seeded stream (about 8 events share a
+/// step; 1 gap in 64 spans 17–48 steps and so also rolls the window).
+/// The fingerprint covers every event's spike count and logit bits, the
+/// final `save_state` bytes and the op counts. The last
+/// [`SNN_ALLOC_INJECTIONS`] events form the steady-state allocation
+/// window: an injection allocates nothing, so the budget is the `Vec`
+/// each `logits_at` returns.
+fn snn_stream_workload(scale: &Scale) -> (u64, u64) {
+    const INPUTS: usize = 512;
+    const WINDOW_STEPS: u64 = 16;
+    let mut rng = Rng64::seed_from_u64(99);
+    let net = SnnNetwork::new(SnnConfig::new(INPUTS, 4), &mut rng);
+    let mut ed = EventDrivenSnn::from_network(&net);
+    let mut ops = OpCount::new();
+    let mut h = Fnv1a::new();
+    let events = scale.snn_stream_events;
+    let steady_from = events.saturating_sub(SNN_ALLOC_INJECTIONS);
+    let mut snap = alloc::snapshot();
+    let mut step = 0u64;
+    for i in 0..events {
+        if i == steady_from {
+            snap = alloc::snapshot();
+        }
+        step += match rng.next_below(64) {
+            0 => 17 + rng.next_below(32),
+            r if r < 8 => 1,
+            _ => 0,
+        };
+        if step >= WINDOW_STEPS {
+            ed.reset();
+            step = 0;
+        }
+        let spikes = ed.inject_input(rng.next_index(INPUTS), step + 1, &mut ops);
+        h.write_u64(spikes as u64);
+        for v in ed.logits_at(step + 1) {
+            h.write_f32(v);
+        }
+    }
+    alloc::record_steady("snn_stream", alloc::delta_since(snap));
+    let mut enc = Encoder::new();
+    ed.save_state(&mut enc);
+    h.write(enc.as_bytes());
+    for n in [
+        ops.mults,
+        ops.adds,
+        ops.comparisons,
+        ops.mem_reads,
+        ops.mem_writes,
+    ] {
+        h.write_u64(n);
+    }
+    (h.finish(), events as u64)
 }
 
 fn graph_workload(scale: &Scale) -> (u64, u64) {
@@ -622,6 +688,15 @@ fn main() -> Result<(), evlab_util::EvlabError> {
             Box::new({
                 let s = make_scale();
                 move || snn_workload(&s)
+            }),
+        ),
+        (
+            "snn_stream",
+            "events/s",
+            true,
+            Box::new({
+                let s = make_scale();
+                move || snn_stream_workload(&s)
             }),
         ),
         (

@@ -211,7 +211,6 @@ impl SnnNetwork {
         let g = grad_logits.as_slice();
         let classes = self.config.classes;
         let last_hidden = self.layers.last().expect("nonempty").out_size();
-        let rw = self.readout.value.as_slice().to_vec();
         let theta = self.config.lif.threshold;
         let surrogate = self.config.surrogate;
 
@@ -219,8 +218,12 @@ impl SnnNetwork {
         //   dV = sum_t leak^(T-1-t) g s_t^T,  ds_t = leak^(T-1-t) V^T g.
         let mut ds_last: Vec<Vec<f32>> = vec![vec![0.0; last_hidden]; steps];
         {
-            let rg = self.readout.grad.as_mut_slice();
+            let (rw, rg) = (
+                self.readout.value.as_slice(),
+                self.readout.grad.as_mut_slice(),
+            );
             let mut scale = 1.0f32;
+            let mut macs = 0u64;
             for t in (0..steps).rev() {
                 let s_t = &self.cache.spikes[self.layers.len() - 1][t];
                 for c in 0..classes {
@@ -232,56 +235,73 @@ impl SnnNetwork {
                         rg[c * last_hidden + i] += gc * s_t[i];
                         ds_last[t][i] += gc * rw[c * last_hidden + i];
                     }
+                    macs += 2 * last_hidden as u64;
                 }
                 scale *= self.config.readout_leak;
             }
-            ops.record_mac(
-                (steps * classes * last_hidden * 2) as u64,
-                (steps * classes * last_hidden * 2) as u64,
-            );
+            ops.record_mac(macs, macs);
         }
 
-        // Hidden layers, top to bottom.
+        // Hidden layers, top to bottom. The input gradient is formed only
+        // where a layer below reads it (li > 0), and the weight gradient
+        // only over each step's nonzero inputs: every `wg` element still
+        // receives the same products in the same order (t descending).
         let mut ds_out = ds_last;
+        let mut active: Vec<(usize, f32)> = Vec::new();
         for li in (0..self.layers.len()).rev() {
-            let in_size = self.layers[li].in_size();
-            let out_size = self.layers[li].out_size();
-            let leak = self.layers[li].config().leak;
-            let w = self.layers[li].weight().value.as_slice().to_vec();
-            let mut ds_in: Vec<Vec<f32>> = vec![vec![0.0; in_size]; steps];
-            {
-                let wg = self.layers[li].weight_mut().grad.as_mut_slice();
-                let mut delta_next = vec![0.0f32; out_size];
-                for t in (0..steps).rev() {
-                    let membrane = &self.cache.membranes[li][t];
-                    let input: &[f32] = if li == 0 {
-                        &self.cache.inputs[t]
-                    } else {
-                        &self.cache.spikes[li - 1][t]
-                    };
-                    let mut delta = vec![0.0f32; out_size];
-                    for j in 0..out_size {
-                        let sg = surrogate.grad(membrane[j] - theta);
-                        delta[j] = sg * ds_out[t][j] + leak * delta_next[j];
-                    }
-                    for (j, &dj) in delta.iter().enumerate() {
-                        if dj == 0.0 {
-                            continue;
-                        }
-                        for (i, &xi) in input.iter().enumerate() {
-                            if xi != 0.0 {
-                                wg[j * in_size + i] += dj * xi;
-                            }
-                            ds_in[t][i] += dj * w[j * in_size + i];
-                        }
-                    }
-                    delta_next = delta;
+            let layer = &mut self.layers[li];
+            let in_size = layer.in_size();
+            let out_size = layer.out_size();
+            let leak = layer.config().leak;
+            let weight = layer.weight_mut();
+            let (w, wg) = (weight.value.as_slice(), weight.grad.as_mut_slice());
+            let mut ds_in: Vec<Vec<f32>> = if li > 0 {
+                vec![vec![0.0; in_size]; steps]
+            } else {
+                Vec::new()
+            };
+            let mut macs = 0u64;
+            let mut delta = vec![0.0f32; out_size];
+            let mut delta_next = vec![0.0f32; out_size];
+            for t in (0..steps).rev() {
+                let membrane = &self.cache.membranes[li][t];
+                let input: &[f32] = if li == 0 {
+                    &self.cache.inputs[t]
+                } else {
+                    &self.cache.spikes[li - 1][t]
+                };
+                active.clear();
+                active.extend(
+                    input
+                        .iter()
+                        .copied()
+                        .enumerate()
+                        .filter(|&(_, xi)| xi != 0.0),
+                );
+                for j in 0..out_size {
+                    let sg = surrogate.grad(membrane[j] - theta);
+                    delta[j] = sg * ds_out[t][j] + leak * delta_next[j];
                 }
+                for (j, &dj) in delta.iter().enumerate() {
+                    if dj == 0.0 {
+                        continue;
+                    }
+                    let wg_row = &mut wg[j * in_size..(j + 1) * in_size];
+                    for &(i, xi) in &active {
+                        wg_row[i] += dj * xi;
+                    }
+                    macs += active.len() as u64;
+                    if li > 0 {
+                        let w_row = &w[j * in_size..(j + 1) * in_size];
+                        for (d, &wi) in ds_in[t].iter_mut().zip(w_row) {
+                            *d += dj * wi;
+                        }
+                        macs += in_size as u64;
+                    }
+                }
+                std::mem::swap(&mut delta, &mut delta_next);
             }
-            ops.record_mac(
-                (steps * out_size * in_size * 2) as u64,
-                (steps * out_size * in_size * 2) as u64,
-            );
+            ops.record_mac(macs, macs);
             ds_out = ds_in;
         }
     }
@@ -458,6 +478,114 @@ mod tests {
         net.forward(&quiet, &mut ops);
         assert_eq!(net.last_spike_counts()[0], 0);
         assert!(busy_count > 0);
+    }
+
+    /// `backward` as one dense loop nest: every input of every layer at
+    /// every step, the input gradient formed for every layer.
+    fn dense_backward(net: &SnnNetwork, g: &[f32]) -> Vec<Vec<f32>> {
+        let cache = &net.cache;
+        let steps = cache.inputs.len();
+        let classes = net.config.classes;
+        let n_layers = net.layers.len();
+        let last_hidden = net.layers[n_layers - 1].out_size();
+        let rw = net.readout.value.as_slice();
+        let mut rg = net.readout.grad.as_slice().to_vec();
+        let mut ds_out = vec![vec![0.0f32; last_hidden]; steps];
+        let mut scale = 1.0f32;
+        for t in (0..steps).rev() {
+            for c in 0..classes {
+                let gc = g[c] * scale;
+                if gc == 0.0 {
+                    continue;
+                }
+                for i in 0..last_hidden {
+                    rg[c * last_hidden + i] += gc * cache.spikes[n_layers - 1][t][i];
+                    ds_out[t][i] += gc * rw[c * last_hidden + i];
+                }
+            }
+            scale *= net.config.readout_leak;
+        }
+        let mut grads = vec![Vec::new(); n_layers];
+        for li in (0..n_layers).rev() {
+            let layer = &net.layers[li];
+            let (in_size, out_size) = (layer.in_size(), layer.out_size());
+            let w = layer.weight().value.as_slice();
+            let mut wg = layer.weight().grad.as_slice().to_vec();
+            let mut ds_in = vec![vec![0.0f32; in_size]; steps];
+            let mut delta_next = vec![0.0f32; out_size];
+            for t in (0..steps).rev() {
+                let input = if li == 0 {
+                    &cache.inputs[t]
+                } else {
+                    &cache.spikes[li - 1][t]
+                };
+                let mut delta = vec![0.0f32; out_size];
+                for j in 0..out_size {
+                    let sg = net
+                        .config
+                        .surrogate
+                        .grad(cache.membranes[li][t][j] - net.config.lif.threshold);
+                    delta[j] = sg * ds_out[t][j] + layer.config().leak * delta_next[j];
+                }
+                for (j, &dj) in delta.iter().enumerate() {
+                    if dj == 0.0 {
+                        continue;
+                    }
+                    for (i, &xi) in input.iter().enumerate() {
+                        if xi != 0.0 {
+                            wg[j * in_size + i] += dj * xi;
+                        }
+                        ds_in[t][i] += dj * w[j * in_size + i];
+                    }
+                }
+                delta_next = delta;
+            }
+            grads[li] = wg;
+            ds_out = ds_in;
+        }
+        grads.push(rg);
+        grads
+    }
+
+    #[test]
+    fn backward_matches_a_dense_reference_bit_for_bit() {
+        let mut rng = Rng64::seed_from_u64(6);
+        let mut config = SnnConfig::new(40, 3).with_hidden(vec![12, 7]);
+        config.lif.threshold = 0.3;
+        let mut net = SnnNetwork::new(config, &mut rng);
+        // Nonzero starting gradients: accumulation order shows in the bits.
+        for p in net.params_mut() {
+            for v in p.grad.as_mut_slice() {
+                *v = rng.next_f32() - 0.5;
+            }
+        }
+        let mut ops = OpCount::new();
+        for sample in 0..4 {
+            let mut train = SpikeTrain::new(40, 15);
+            for t in 0..15 {
+                for _ in 0..rng.next_index(5) {
+                    train.push(t, rng.next_index(40) as u32);
+                }
+            }
+            let logits = net.forward(&train, &mut ops);
+            let (_, grad) = cross_entropy(&logits, sample % 3);
+            let want = dense_backward(&net, grad.as_slice());
+            net.backward(&grad, &mut ops);
+            let got: Vec<Vec<f32>> = net
+                .params_mut()
+                .iter()
+                .map(|p| p.grad.as_slice().to_vec())
+                .collect();
+            assert_eq!(got.len(), want.len());
+            for (k, (a, b)) in want.iter().zip(&got).enumerate() {
+                let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+                assert_eq!(bits(a), bits(b), "param {k} gradient, sample {sample}");
+            }
+        }
+        assert!(
+            net.last_spike_counts()[1] > 0,
+            "the second layer must spike"
+        );
     }
 
     #[test]

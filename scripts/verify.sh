@@ -24,8 +24,9 @@
 #      fails if any instrumented workload's steady-state allocation
 #      count exceeds the committed BENCH_alloc_budget.json (all zeros for
 #      the kernels — the per-worker arena contract must hold at every
-#      thread count — and, for the streaming GNN engine `gnn_stream`, the
-#      returned logits tensor alone: two heap blocks per update);
+#      thread count — and, for the streaming engines, the returned
+#      logits alone: two heap blocks per `gnn_stream` update, one `Vec`
+#      per `snn_stream` event);
 #   6. a smoke run of `serve_bench` (4 concurrent sessions per paradigm,
 #      16-deep queues under 64-event bursts) — the binary exits non-zero
 #      unless load was actually shed AND decisions kept flowing, which is
@@ -47,7 +48,8 @@
 #      threaded execution, checkpoint/restore vs uninterrupted oracle,
 #      reorder buffer vs its contract model, json writer/parser round
 #      trips, the streaming GNN engine vs a frontier recompute, the conv2d
-#      kernels vs their naive nests at 1 and 4 threads — 8 seeds per
+#      kernels vs their naive nests at 1 and 4 threads, the event-driven
+#      SNN engine vs per-neuron decay-on-demand — 9 targets, 8 seeds per
 #      target plus the committed regression corpus,
 #      with `evlab_util::check` runtime invariants forced on) — the
 #      binary exits non-zero on any mismatch, panic, or invariant
@@ -172,7 +174,7 @@ cargo run -q --release --offline -p evlab-bench --bin obs_check -- \
     --require ckpt.journal_bytes \
     "$recovery_metrics"
 
-echo "==> fuzz_lab smoke (8 differential targets + regression corpus; invariants forced on)"
+echo "==> fuzz_lab smoke (9 differential targets + regression corpus; invariants forced on)"
 EVLAB_OBS=1 EVLAB_CHECK=1 cargo run -q --release --offline -p evlab-bench --bin fuzz_lab -- \
     --smoke --metrics "$fuzz_metrics"
 

@@ -121,8 +121,9 @@ fn lif_layer_stepping_is_thread_invariant() {
 
 #[test]
 fn event_driven_snn_is_thread_invariant() {
-    // Hidden width 2048 reaches the event-driven injection's chunking
-    // threshold.
+    // A wide hidden layer (2,048 neurons). The event-driven injection runs
+    // on the caller's thread at every width, so nothing in its result may
+    // depend on the thread count.
     let run = |threads: usize| {
         par::with_threads(threads, || {
             let mut rng = Rng64::seed_from_u64(31);
